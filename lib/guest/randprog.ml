@@ -25,6 +25,11 @@ let conds =
 
 let pick_reg rng = Rng.pick rng writable
 
+(* Divisors exclude EDX: the divide guards set EDX (the dividend's high
+   word) before or-ing the divisor odd, and an odd EDX divisor would make
+   the quotient overflow. *)
+let divisors = [| Insn.EAX; ECX; EBX; EDI |]
+
 (* A memory operand safely inside the data region. *)
 let data_operand rng p =
   let disp = Rng.int rng (p.data_bytes - 64) in
@@ -85,11 +90,11 @@ let package rng p : Asm.item list =
   | 11 -> [ mul (reg_or_mem rng p) ]
   | 12 ->
     (* Guarded unsigned divide: EDX=0, divisor forced odd-nonzero. *)
-    let d = pick_reg rng in
+    let d = Rng.pick rng divisors in
     [ xor (r edx) (r edx); or_ (r d) (i 1); div (r d) ]
   | 13 ->
     (* Guarded signed divide: positive dividend and divisor. *)
-    let d = pick_reg rng in
+    let d = Rng.pick rng divisors in
     [ and_ (r eax) (i 0x7FFFFFFF);
       cdq;
       or_ (r d) (i 1);

@@ -302,6 +302,19 @@ let syscall_write () =
          int_ Syscall.vector;
          label "msg"; Asm.Ascii "hello, world\n" ])
 
+(* The generator's promise: its programs never fault, so every random
+   case above compares full final state, not just "both faulted". *)
+let generator_never_faults () =
+  for seed = 1 to 200 do
+    let rng = Rng.create ~seed in
+    let interp =
+      Interp.create (Program.of_asm (Randprog.generate rng Randprog.default_params))
+    in
+    match Interp.run ~fuel interp with
+    | Interp.Exited _ -> ()
+    | o -> Alcotest.failf "seed %d: %s" seed (outcome_to_string o)
+  done
+
 (* The random families are embarrassingly parallel: each seed builds its
    own program, interpreter and VM. Fan a family's seeds out over a Pool
    when its first case runs; each named case then reports only its own
@@ -337,7 +350,8 @@ let suite =
     quick "cmov" cmov_cases;
     quick "rep movsb/stosb" rep_ops;
     quick "rep overlapping copy" rep_overlap;
-    quick "syscall write" syscall_write ]
+    quick "syscall write" syscall_write;
+    quick "random programs exit (seeds 1-200)" generator_never_faults ]
   @ List.mapi
       (fun i f -> quick (Printf.sprintf "random program %d" i) f)
       (pooled_family random_case (List.init 12 (fun i -> 1000 + i)))
