@@ -34,8 +34,6 @@ let table_digest table hash_entry =
 module L1 = struct
   type entry = {
     block : Block.t;
-    use_masks : int array;
-    def_masks : int array;
     mutable stored_sum : int;
     mutable chain_taken : entry option;
     mutable chain_fall : entry option;
@@ -64,8 +62,6 @@ module L1 = struct
     if t.used + size > t.capacity then flush t;
     let entry =
       { block;
-        use_masks = Array.map Vat_host.Hinsn.use_mask block.code;
-        def_masks = Array.map Vat_host.Hinsn.def_mask block.code;
         stored_sum = block.checksum;
         chain_taken = None;
         chain_fall = None }

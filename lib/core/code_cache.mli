@@ -23,11 +23,6 @@
 module L1 : sig
   type entry = {
     block : Block.t;
-    use_masks : int array;
-    def_masks : int array;
-        (** Per-instruction {!Vat_host.Hinsn.use_mask}/[def_mask], computed
-            once at install so the engine's scoreboard does [land] tests
-            per step instead of allocating register lists. *)
     mutable stored_sum : int;
         (** This residency's copy of the block checksum; verified against
             {!Block.checksum} on entry when fault tolerance is armed. *)

@@ -730,16 +730,10 @@ let decode_block cfg ~fetch ~guest_addr =
 let translate cfg ~fetch ~guest_addr : Block.t =
   match decode_block cfg ~fetch ~guest_addr with
   | Fetch_fault msg ->
-    { guest_addr;
-      guest_len = 1;
-      guest_insns = 0;
-      code = [||];
-      term = T_fault msg;
-      optimized = false;
-      translation_cycles = cfg.Config.translate_base_cycles;
-      page_lo = Mem.page_of guest_addr;
-      page_hi = Mem.page_of guest_addr;
-      checksum = Block.checksum_of ~guest_addr ~code:[||] ~term:(T_fault msg) }
+    Block.make ~guest_addr ~guest_len:1 ~guest_insns:0 ~code:[||]
+      ~term:(T_fault msg) ~optimized:false
+      ~translation_cycles:cfg.Config.translate_base_cycles
+      ~page_lo:(Mem.page_of guest_addr) ~page_hi:(Mem.page_of guest_addr)
   | Block_of (insns, end_addr, last_addr) ->
     let arr = Array.of_list insns in
     let n = Array.length arr in
@@ -753,15 +747,16 @@ let translate cfg ~fetch ~guest_addr : Block.t =
         else lower_body_insn env insn ~mask:masks.(i))
       arr;
     let items = Emit.items env.e in
-    let pre_opt_count = List.length (Lblock.insns items) in
+    let pre_opt_count = Emit.length env.e in
+    let nregs = Emit.reg_bound env.e in
     let items =
       if cfg.Config.optimize then
         items
-        |> Opt.run_all ~live_out:live_out_regs
-        |> Sched.hoist_loads
+        |> Opt.run_all ~live_out:live_out_regs ~nregs
+        |> Sched.hoist_loads ~nregs
       else items
     in
-    let code = Lblock.linearize (Regalloc.allocate items) in
+    let code = Lblock.linearize (Regalloc.allocate ~nregs items) in
     let translation_cycles =
       cfg.Config.translate_base_cycles
       + (cfg.Config.translate_per_guest_insn * n)
@@ -769,16 +764,10 @@ let translate cfg ~fetch ~guest_addr : Block.t =
            cfg.Config.optimize_per_host_insn * pre_opt_count
          else 0)
     in
-    { guest_addr;
-      guest_len = max 1 (end_addr - guest_addr);
-      guest_insns = n;
-      code;
-      term = !term;
-      optimized = cfg.Config.optimize;
-      translation_cycles;
-      page_lo = Mem.page_of guest_addr;
-      page_hi = Mem.page_of (max guest_addr (end_addr - 1));
-      checksum = Block.checksum_of ~guest_addr ~code ~term:!term }
+    Block.make ~guest_addr ~guest_len:(max 1 (end_addr - guest_addr))
+      ~guest_insns:n ~code ~term:!term ~optimized:cfg.Config.optimize
+      ~translation_cycles ~page_lo:(Mem.page_of guest_addr)
+      ~page_hi:(Mem.page_of (max guest_addr (end_addr - 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Keyed translation memo                                              *)

@@ -7,17 +7,9 @@ open Vat_core
 
 let dummy_block ?(addr = 0x1000) ?(host_insns = 20) ?(term = Block.T_jmp { target = 0x2000 })
     () : Block.t =
-  let code = Array.make host_insns Hinsn.Nop in
-  { guest_addr = addr;
-    guest_len = 16;
-    guest_insns = 5;
-    code;
-    term;
-    optimized = true;
-    translation_cycles = 100;
-    page_lo = addr / 4096;
-    page_hi = addr / 4096;
-    checksum = Block.checksum_of ~guest_addr:addr ~code ~term }
+  Block.make ~guest_addr:addr ~guest_len:16 ~guest_insns:5
+    ~code:(Array.make host_insns Hinsn.Nop) ~term ~optimized:true
+    ~translation_cycles:100 ~page_lo:(addr / 4096) ~page_hi:(addr / 4096)
 
 (* --- L1 code cache ----------------------------------------------------- *)
 

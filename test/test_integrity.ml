@@ -17,18 +17,10 @@ let fuel = 2_000_000
 (* ------------------------------------------------------------------ *)
 
 let dummy_block addr =
-  let code = [| Vat_host.Hinsn.Nop; Vat_host.Hinsn.Jump (addr + 4) |] in
-  let term = Block.T_jmp { target = addr + 4 } in
-  { Block.guest_addr = addr;
-    guest_len = 4;
-    guest_insns = 1;
-    code;
-    term;
-    optimized = false;
-    translation_cycles = 10;
-    page_lo = addr lsr 12;
-    page_hi = addr lsr 12;
-    checksum = Block.checksum_of ~guest_addr:addr ~code ~term }
+  Block.make ~guest_addr:addr ~guest_len:4 ~guest_insns:1
+    ~code:[| Vat_host.Hinsn.Nop; Vat_host.Hinsn.Jump (addr + 4) |]
+    ~term:(Block.T_jmp { target = addr + 4 }) ~optimized:false
+    ~translation_cycles:10 ~page_lo:(addr lsr 12) ~page_hi:(addr lsr 12)
 
 let test_checksum_deterministic () =
   let b = dummy_block 0x1000 in
@@ -42,9 +34,12 @@ let test_checksum_sensitive () =
   let b = dummy_block 0x2000 in
   Alcotest.(check bool) "different address, different sum" false
     (a.Block.checksum = b.Block.checksum);
-  let tampered = { a with Block.term = Block.T_jmp { target = 0xdead } } in
+  let tampered_sum =
+    Block.checksum_of ~guest_addr:a.guest_addr ~code:a.code
+      ~term:(Block.T_jmp { target = 0xdead })
+  in
   Alcotest.(check bool) "different terminator, different sum" false
-    (a.Block.checksum = Block.recompute_checksum tampered)
+    (a.Block.checksum = tampered_sum)
 
 let test_translate_sets_checksum () =
   (* Every block produced by the real translator carries a sum that
