@@ -15,13 +15,13 @@ open Vat_desim
 
 let plan =
   Fault.make ~seed:2026
-    [ { Fault.at = 40_000; site = Fault.site ~index:0 "translator";
+    [ { Fault.at = 40_000; site = Fault.site ~index:0 Fault.Translator;
         kind = Fault.Fail_stop };
-      { Fault.at = 60_000; site = Fault.site ~index:1 "l2d";
+      { Fault.at = 60_000; site = Fault.site ~index:1 Fault.L2d;
         kind = Fault.Fail_stop };
-      { Fault.at = 90_000; site = Fault.site ~index:2 "translator";
+      { Fault.at = 90_000; site = Fault.site ~index:2 Fault.Translator;
         kind = Fault.Fail_stop };
-      { Fault.at = 120_000; site = Fault.site "manager";
+      { Fault.at = 120_000; site = Fault.site Fault.Manager;
         kind = Fault.Drop_requests 4 } ]
 
 let () =

@@ -25,7 +25,6 @@ val run :
   ?checkpoint_every:int ->
   ?on_checkpoint:(Vat_snapshot.Snapshot.t -> unit) ->
   ?restore_from:Vat_snapshot.Snapshot.t ->
-  ?max_rollbacks:int ->
   Config.t -> Program.t ->
   result
 (** [fuel] defaults to 50M guest instructions; [max_cycles] (default 2G)
@@ -62,17 +61,19 @@ val run :
     fault-free checkpointed run's cycles, digest, output and stats are
     byte-identical to the same run with checkpointing off.
 
-    Checkpointing also arms rollback-recovery: the two previously-terminal
-    fault families — an uncorrectable L2D parity loss (a corrupt dirty
-    line) and a critical-tile fail-stop (exec/manager/MMU/syscall) — no
-    longer end the run. The machine restores the last good checkpoint by
-    verified deterministic replay, quarantines the offending bank or tile,
-    masks the already-survived fault event, and continues; the recovery
-    ledger travels inside every snapshot so resumed runs converge on the
-    same decisions. After [max_rollbacks] (default 64) distinct rollbacks
-    the run gives up with the legacy [Fault] outcome. Recovered runs add
-    ["recovery.rollbacks"] and ["recovery.replayed_cycles"] to [stats];
-    runs that never rolled back add nothing.
+    Checkpointing also arms rollback-recovery for the two terminal fault
+    families: an uncorrectable L2D parity loss (a corrupt dirty line) and
+    a critical-tile fail-stop (exec/manager/MMU/syscall). Each attempt is
+    a fresh {!create}d machine that stops at the first terminal; the run
+    ledgers it with the checkpoint before it and replays from cycle 0,
+    quarantining the bank or tile at that checkpoint and masking the
+    survived event. The ledger travels inside every snapshot, so resumed
+    runs make the same decisions. Once the ledger (entries a restored
+    snapshot brought in included) holds 64 rollbacks, the next terminal
+    ends the run with the [Fault] outcome it has without checkpointing.
+    Recovered runs add ["recovery.rollbacks"] and
+    ["recovery.replayed_cycles"] to [stats] (replayed cycles are not in
+    [cycles]); runs that never rolled back add nothing.
 
     [restore_from] resumes from a snapshot: the simulator re-executes from
     cycle 0 under the snapshot's own interval and ledger, checks byte-for-
@@ -123,12 +124,11 @@ val create :
   Program.t ->
   instance
 (** Build the tile complex for one guest without running it. No morphing
-    controller is attached (a fabric-level controller owns tile trades). *)
+    controller is attached (a fabric-level controller owns tile trades).
+    Every {!run} attempt is built here. *)
 
 val start :
   instance -> fuel:int -> on_finish:(Exec.outcome -> unit) -> unit
 
 val manager_of : instance -> Manager.t
 val exec_of : instance -> Exec.t
-val memsys_of : instance -> Memsys.t
-val layout_of : instance -> Layout.t

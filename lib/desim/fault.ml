@@ -41,7 +41,18 @@ let corruption_classes = [ C_corrupt_payload; C_corrupt_storage; C_duplicate ]
 let class_of_string s =
   List.find_opt (fun c -> class_to_string c = s) all_classes
 
-type site = { role : string; index : int }
+type role = Exec | L15 | L2d | Manager | Mmu | Syscall | Translator
+
+let role_to_string = function
+  | Exec -> "exec"
+  | L15 -> "l15"
+  | L2d -> "l2d"
+  | Manager -> "manager"
+  | Mmu -> "mmu"
+  | Syscall -> "syscall"
+  | Translator -> "translator"
+
+type site = { role : role; index : int }
 
 type event = { at : int; site : site; kind : kind }
 
@@ -53,6 +64,8 @@ let empty = { seed = 0; events = [] }
 
 let is_empty p = p.events = []
 
+(* Roles are declared in the alphabetical order of their names, so
+   same-cycle events sort by role name, then index. *)
 let compare_event a b =
   match compare a.at b.at with 0 -> compare a.site b.site | c -> c
 
@@ -93,13 +106,11 @@ let kind_to_string = function
   | Duplicate_delivery n -> Printf.sprintf "duplicate-%d" n
 
 let site_to_string s =
-  if s.index = 0 && not (String.contains s.role ':') then s.role
-  else Printf.sprintf "%s:%d" s.role s.index
+  if s.index = 0 then role_to_string s.role
+  else Printf.sprintf "%s:%d" (role_to_string s.role) s.index
 
 let event_to_string e =
   Printf.sprintf "@%d %s %s" e.at (site_to_string e.site) (kind_to_string e.kind)
-
-let pp_event ppf e = Format.pp_print_string ppf (event_to_string e)
 
 let pp ppf p =
   Format.fprintf ppf "plan(seed=%d)" p.seed;

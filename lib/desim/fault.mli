@@ -1,10 +1,11 @@
 (** Deterministic fault plans for the simulated fabric.
 
-    A plan is a cycle-ordered schedule of faults against named sites
-    (tiles or service centers); it carries the seed it was generated from,
-    so a faulty run is replayable bit-for-bit from a single integer. The
-    simulator layers above decide what each site name means and how the
-    system degrades — this module only describes {e what goes wrong when}.
+    A plan is a cycle-ordered schedule of faults against sites (a tile
+    {!role} and an index among the tiles of that role); it carries the
+    seed it was generated from, so a faulty run is replayable bit-for-bit
+    from a single integer. The simulator layers above decide what a fault
+    on each role does and how the system degrades — this module only
+    describes {e what goes wrong when}.
 
     Fault taxonomy:
     - {!Fail_stop}: the site dies permanently; queued work is lost and new
@@ -55,21 +56,28 @@ val legacy_classes : kind_class list
 val corruption_classes : kind_class list
 (** Corrupt-payload, corrupt-storage, duplicate. *)
 
-type site = { role : string; index : int }
-(** E.g. [{role = "translator"; index = 3}] or [{role = "manager"; index = 0}]. *)
+type role = Exec | L15 | L2d | Manager | Mmu | Syscall | Translator
+(** The tile roles a fault can hit, named by {!role_to_string} ["exec"],
+    ["l15"], ["l2d"], ["manager"], ["mmu"], ["syscall"], ["translator"]. *)
+
+val role_to_string : role -> string
+
+type site = { role : role; index : int }
+(** E.g. [{role = Translator; index = 3}] or [{role = Manager; index = 0}]. *)
 
 type event = { at : int; site : site; kind : kind }
 (** [at] is the injection cycle (event-queue time). *)
 
 type plan
 
-val site : ?index:int -> string -> site
+val site : ?index:int -> role -> site
 
 val empty : plan
 val is_empty : plan -> bool
 
 val make : seed:int -> event list -> plan
-(** Explicit plan; events are sorted by cycle (stable). *)
+(** Explicit plan; events are sorted by cycle, then by site (role in the
+    alphabetical order of {!role_to_string}, then index), stably. *)
 
 val random :
   seed:int -> horizon:int -> menu:(site * kind array) array -> count:int ->
@@ -89,5 +97,4 @@ val count_before : plan -> cycle:int -> int
 val kind_to_string : kind -> string
 val site_to_string : site -> string
 val event_to_string : event -> string
-val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> plan -> unit

@@ -95,13 +95,13 @@ let test_menu_corruption_sites () =
     Array.to_list menu |> List.map (fun (s, _) -> s.Fault.role)
   in
   Alcotest.(check bool) "exec site appears once corruption is on" true
-    (List.mem "exec" roles);
+    (List.mem Fault.Exec roles);
   let legacy = Vm.fault_menu Config.default in
   let legacy_roles =
     Array.to_list legacy |> List.map (fun (s, _) -> s.Fault.role)
   in
   Alcotest.(check bool) "exec site absent from the legacy menu" false
-    (List.mem "exec" legacy_roles)
+    (List.mem Fault.Exec legacy_roles)
 
 (* Satellite: bench/figures.ml builds its cumulative-damage sweeps on
    the promise that [Fault.random] is a prefix-stable stream — growing
@@ -285,7 +285,7 @@ let test_l1code_storage_recovery () =
   let plan =
     Fault.make ~seed:1
       (List.init 6 (fun i ->
-           at (5_000 + (i * 7_000)) "exec" Fault.Corrupt_storage))
+           at (5_000 + (i * 7_000)) Fault.Exec Fault.Corrupt_storage))
   in
   let rv = check_corrupt_run ~cfg:ft_cfg workload_program plan in
   Alcotest.(check bool) "injections landed" true
@@ -297,10 +297,10 @@ let test_code_store_corruption_recovery () =
   (* Tamper resident lines in the L2 code cache and both L1.5 banks. *)
   let plan =
     Fault.make ~seed:1
-      [ at 5_000 "manager" Fault.Corrupt_storage;
-        at 8_000 "l15" ~index:0 Fault.Corrupt_storage;
-        at 9_000 "l15" ~index:1 Fault.Corrupt_storage;
-        at 20_000 "manager" Fault.Corrupt_storage ]
+      [ at 5_000 Fault.Manager Fault.Corrupt_storage;
+        at 8_000 Fault.L15 ~index:0 Fault.Corrupt_storage;
+        at 9_000 Fault.L15 ~index:1 Fault.Corrupt_storage;
+        at 20_000 Fault.Manager Fault.Corrupt_storage ]
   in
   let rv = check_corrupt_run ~cfg:ft_cfg workload_program plan in
   Alcotest.(check bool) "injections landed" true
@@ -311,9 +311,9 @@ let test_payload_corruption_recovery () =
      tampered sums must be rejected at a checkpoint and re-delivered. *)
   let plan =
     Fault.make ~seed:1
-      [ at 10 "manager" (Fault.Corrupt_payload 4);
-        at 3_000 "l15" ~index:0 (Fault.Corrupt_payload 2);
-        at 6_000 "manager" (Fault.Corrupt_payload 2) ]
+      [ at 10 Fault.Manager (Fault.Corrupt_payload 4);
+        at 3_000 Fault.L15 ~index:0 (Fault.Corrupt_payload 2);
+        at 6_000 Fault.Manager (Fault.Corrupt_payload 2) ]
   in
   let rv = check_corrupt_run ~cfg:ft_cfg workload_program plan in
   let get = Metrics.get rv in
@@ -325,9 +325,9 @@ let test_payload_corruption_recovery () =
 let test_duplicate_deliveries_idempotent () =
   let plan =
     Fault.make ~seed:1
-      [ at 10 "manager" (Fault.Duplicate_delivery 3);
-        at 2_000 "mmu" (Fault.Duplicate_delivery 2);
-        at 4_000 "l2d" ~index:0 (Fault.Duplicate_delivery 2) ]
+      [ at 10 Fault.Manager (Fault.Duplicate_delivery 3);
+        at 2_000 Fault.Mmu (Fault.Duplicate_delivery 2);
+        at 4_000 Fault.L2d ~index:0 (Fault.Duplicate_delivery 2) ]
   in
   let rv = check_corrupt_run ~cfg:ft_cfg workload_program plan in
   Alcotest.(check bool) "deliveries were duplicated" true
@@ -338,10 +338,10 @@ let test_data_path_corruption_recovery () =
      Storage corruption in a bank is scrubbed by parity. *)
   let plan =
     Fault.make ~seed:1
-      [ at 1_000 "mmu" (Fault.Corrupt_payload 2);
-        at 3_000 "l2d" ~index:0 (Fault.Corrupt_payload 2);
-        at 6_000 "l2d" ~index:0 Fault.Corrupt_storage;
-        at 7_000 "l2d" ~index:1 Fault.Corrupt_storage ]
+      [ at 1_000 Fault.Mmu (Fault.Corrupt_payload 2);
+        at 3_000 Fault.L2d ~index:0 (Fault.Corrupt_payload 2);
+        at 6_000 Fault.L2d ~index:0 Fault.Corrupt_storage;
+        at 7_000 Fault.L2d ~index:1 Fault.Corrupt_storage ]
   in
   let rv = check_corrupt_run ~cfg:ft_cfg workload_program plan in
   Alcotest.(check bool) "injections landed" true
@@ -351,7 +351,7 @@ let test_install_acks_retransmit () =
   (* Corrupt install messages draw no ack; the sequence-numbered retry
      machinery must retransmit until a clean copy is accepted. *)
   let plan =
-    Fault.make ~seed:1 [ at 10 "manager" (Fault.Corrupt_payload 6) ]
+    Fault.make ~seed:1 [ at 10 Fault.Manager (Fault.Corrupt_payload 6) ]
   in
   let rv = check_corrupt_run ~cfg:ft_cfg workload_program plan in
   let get = Metrics.get rv in
@@ -374,8 +374,8 @@ let test_quarantine_flaky_site () =
       (List.init 8 (fun i ->
            at
              (4_000 + (i * 4_000))
-             "l15" ~index:(i mod 2) Fault.Corrupt_storage)
-      @ [ at 10 "manager" (Fault.Corrupt_payload 6) ])
+             Fault.L15 ~index:(i mod 2) Fault.Corrupt_storage)
+      @ [ at 10 Fault.Manager (Fault.Corrupt_payload 6) ])
   in
   let rv = check_corrupt_run ~cfg workload_program plan in
   Alcotest.(check bool) "at least one site quarantined" true
@@ -385,7 +385,7 @@ let test_metrics_gating () =
   let clean = Vm.run ~fuel Config.default (Program.of_asm workload_program) in
   Alcotest.(check bool) "fault-free summary has no corruption rows" false
     (List.mem_assoc "corruptions_injected" (Metrics.summary clean));
-  let plan = Fault.make ~seed:1 [ at 5_000 "exec" Fault.Corrupt_storage ] in
+  let plan = Fault.make ~seed:1 [ at 5_000 Fault.Exec Fault.Corrupt_storage ] in
   let rv = check_corrupt_run ~cfg:ft_cfg workload_program plan in
   Alcotest.(check bool) "faulty summary reports corruption" true
     (List.mem_assoc "corruptions_injected" (Metrics.summary rv))
