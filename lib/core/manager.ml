@@ -41,8 +41,9 @@ type slave = {
 type pending = { p_slave : int; p_addr : int }
 
 (* Pre-resolved trace emitters (dead branches when tracing is off). The
-   arg of [recover] says which recovery path ran; codes are documented on
-   {!Manager.recovery_code_names}. *)
+   arg of [recover] says which recovery path ran: 1 install-retransmit,
+   2 translation-requeued, 3 fill-retry, 4 demand-translate,
+   5 l15-reroute. *)
 type probes = {
   tb_slave : Tr.emitter array;  (* per-slave Translate_begin; arg = guest addr *)
   te_slave : Tr.emitter array;  (* per-slave Translate_end *)
@@ -78,14 +79,6 @@ type t = {
   mutable drain_waiters : (unit -> unit) list;
   pr : probes;
 }
-
-(* What the arg of a [Recovery] record on the manager track means. *)
-let recovery_code_names =
-  [ (1, "install-retransmit");
-    (2, "translation-requeued");
-    (3, "fill-retry");
-    (4, "demand-translate");
-    (5, "l15-reroute") ]
 
 let mgr t = match t.mgr_service with Some s -> s | None -> assert false
 
@@ -554,9 +547,6 @@ let l15_max_queue t =
 let active_slaves t =
   Array.fold_left (fun acc s -> if s.active then acc + 1 else acc) 0 t.slaves
 
-let busy_slaves t =
-  Array.fold_left (fun acc s -> if s.busy then acc + 1 else acc) 0 t.slaves
-
 let usable_slaves t =
   Array.fold_left (fun acc s -> if s.failed then acc else acc + 1) 0 t.slaves
 
@@ -638,8 +628,6 @@ let slow_translator t i ~factor ~cycles =
     s.slow_factor <- factor;
     s.slow_until <- Event_queue.now t.q + max 0 cycles
   end
-
-let alive_l15_banks t = Array.length t.l15_alive
 
 let retire_l15 t i ~stat =
   if i < 0 || i >= Array.length t.l15_services then

@@ -61,18 +61,12 @@ val mgr_max_queue : t -> int
 val l15_max_queue : t -> int
 (** Largest request-queue high-water mark across the L1.5 bank tiles. *)
 
-val recovery_code_names : (int * string) list
-(** Meaning of the arg carried by [Recovery] records on the manager
-    track (install-retransmit, fill-retry, demand-translate, ...). *)
-
 val active_slaves : t -> int
 
 val set_active_slaves : t -> int -> on_done:(unit -> unit) -> unit
 (** Morphing: raise or lower the number of slave tiles. Lowering waits for
     the affected slaves to finish their current block. Fail-stopped slaves
     are never reactivated; the target is met from surviving tiles. *)
-
-val busy_slaves : t -> int
 
 (** {2 Fault injection and recovery}
 
@@ -106,7 +100,6 @@ val fail_l15_bank : t -> int -> unit
 (** Fail-stop an L1.5 bank: queued and future lookups re-route to the
     manager; the surviving banks absorb the address space. *)
 
-val alive_l15_banks : t -> int
 val l15_drop : t -> int -> int -> unit
 val l15_slow : t -> int -> factor:int -> cycles:int -> unit
 val mgr_drop : t -> int -> unit

@@ -7,7 +7,8 @@ type mmu_req = { vaddr : int; write : bool; on_done : unit -> unit }
 type bank_req = { paddr : int; bwrite : bool; bank : int; bon_done : unit -> unit }
 
 (* Pre-resolved trace emitters (dead branches untraced). Bank cache events
-   land on the "l2d.N" tracks; recovery instants on "mmu". *)
+   land on the "l2d.N" tracks; recovery instants on "mmu", whose arg says
+   which path ran: 1 mem-retry, 2 direct-dram, 3 uncached-dram, 4 rebank. *)
 type probes = {
   bank_hit : Tr.emitter array;
   bank_miss : Tr.emitter array;
@@ -36,10 +37,6 @@ type t = {
   mutable on_fatal : (bank:int -> string -> unit) option;
   pr : probes;
 }
-
-(* What the arg of a [Recovery] record on the "mmu" track means. *)
-let recovery_code_names =
-  [ (1, "mem-retry"); (2, "direct-dram"); (3, "uncached-dram"); (4, "rebank") ]
 
 let the_mmu t =
   match t.mmu with Some s -> s | None -> assert false

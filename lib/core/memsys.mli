@@ -115,9 +115,6 @@ val mmu_max_queue : t -> int
 val bank_max_queue : t -> int
 (** Largest request-queue high-water mark across the L2D bank tiles. *)
 
-val recovery_code_names : (int * string) list
-(** Meaning of the arg carried by [Recovery] records on the "mmu" track. *)
-
 val tlb_hits : t -> int
 val tlb_misses : t -> int
 

@@ -19,8 +19,6 @@ type t = {
   world : Syscall.world;
   cache : (int, cached) Hashtbl.t;
   mutable pc : int;
-  mutable translated : int;
-  mutable executed_blocks : int;
 }
 
 let create ?input cfg prog =
@@ -33,15 +31,11 @@ let create ?input cfg prog =
     scratch = Array.make 4096 0;
     world = Syscall.create_world ?input ~brk0:prog.Program.brk0 ();
     cache = Hashtbl.create 512;
-    pc = prog.Program.entry;
-    translated = 0;
-    executed_blocks = 0 }
+    pc = prog.Program.entry }
 
 let output t = Syscall.output t.world
 let guest_reg t r = t.regs.(Translate.guest_pin r)
 let flags t = t.regs.(Hinsn.flags_reg)
-let blocks_translated t = t.translated
-let guest_blocks_executed t = t.executed_blocks
 
 let page_gens t (block : Block.t) =
   let rec go p acc =
@@ -56,7 +50,6 @@ let lookup_block t addr =
       Translate.translate t.cfg ~fetch:(Mem.read_u8 t.prog.Program.mem)
         ~guest_addr:addr
     in
-    t.translated <- t.translated + 1;
     Hashtbl.replace t.cache addr { block; gens = page_gens t block };
     block
   in
@@ -117,7 +110,6 @@ let run ~fuel t =
   let result = ref None in
   while !result = None do
     let block = lookup_block t t.pc in
-    t.executed_blocks <- t.executed_blocks + 1;
     budget := !budget - max 1 block.guest_insns;
     (match
        Hexec.run_block ~code:block.code ~regs:t.regs ~mem ~fuel:100000

@@ -24,8 +24,6 @@ val run : fuel:int -> t -> outcome
 val output : t -> string
 val guest_reg : t -> Insn.reg -> int
 val flags : t -> int
-val blocks_translated : t -> int
-val guest_blocks_executed : t -> int
 
 val digest : t -> int
 (** Same recipe as {!Vat_guest.Interp.digest}: a finished [Xrun] of a
