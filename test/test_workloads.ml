@@ -42,6 +42,35 @@ let test_deterministic (b : Suite.benchmark) () =
   let _, i2 = interp_run b in
   Alcotest.(check bool) "same digest" true (Interp.digest i1 = Interp.digest i2)
 
+(* [Mem.checksum] of each surrogate's pristine image and of its memory
+   after the reference interpreter finishes. Interp, Exec and Xrun digests
+   all start from this function, so agreement between them cannot catch a
+   checksum that changed; these values do. *)
+let checksum_pins =
+  [ ("164.gzip", (2089639933844334796, 2935245437698491762));
+    ("175.vpr", (1403352905691778877, 4326303385183425596));
+    ("176.gcc", (2153495164124919302, 160356664079033209));
+    ("181.mcf", (2918427652840378704, 2156791462520962638));
+    ("186.crafty", (2271744894303766211, 833491376852203464));
+    ("197.parser", (1229093883327238783, 30640044951727353));
+    ("253.perlbmk", (4208046688739872893, 2747319376053124973));
+    ("254.gap", (4523081077660374968, 3671256384419738292));
+    ("255.vortex", (2852366092031899846, 2384148023744210010));
+    ("256.bzip2", (1066023270127355732, 946949347613868330));
+    ("300.twolf", (1121872914685372838, 1674850698224811395)) ]
+
+let test_checksum_pins () =
+  List.iter
+    (fun (b : Suite.benchmark) ->
+      let prog = Suite.load b in
+      let pristine = Mem.checksum prog.Program.mem in
+      let _, interp = interp_run b in
+      let final = Mem.checksum (Interp.program interp).Program.mem in
+      let want_pristine, want_final = List.assoc b.name checksum_pins in
+      Alcotest.(check int) (b.name ^ " pristine image") want_pristine pristine;
+      Alcotest.(check int) (b.name ^ " after Interp.run") want_final final)
+    Suite.all
+
 (* Characteristics: the axes that drive the paper's figures. *)
 
 let vm_result =
@@ -107,7 +136,8 @@ let suite =
         Alcotest.test_case (b.name ^ " deterministic") `Quick
           (test_deterministic b) ])
     Suite.all
-  @ [ Alcotest.test_case "axis: code working set" `Slow
+  @ [ Alcotest.test_case "memory checksums pinned" `Quick test_checksum_pins;
+      Alcotest.test_case "axis: code working set" `Slow
         test_code_working_set_axis;
       Alcotest.test_case "axis: chaining" `Slow test_chaining_axis;
       Alcotest.test_case "axis: memory banks" `Slow test_memory_axis;
