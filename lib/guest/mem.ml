@@ -56,9 +56,26 @@ let read_string t ~at ~len =
 
 let page_generation t ~page = if page < t.pages then t.gens.(page) else 0
 
+let fnv_prime = 0x100000001b3
+
+(* A zero byte leaves [h lxor 0 = h], so folding a page of zeros only
+   multiplies the state by [fnv_prime ^ page_size] (mod 2^62). *)
+let zero_page_factor =
+  let f = ref 1 in
+  for _ = 1 to page_size do
+    f := (!f * fnv_prime) land max_int
+  done;
+  !f
+
+(* A page whose generation is still 0 was never stored to, so it still
+   holds the zeros [create] filled it with. *)
 let checksum t =
   let h = ref 0xcbf29ce4 in
-  for i = 0 to Bytes.length t.data - 1 do
-    h := ((!h lxor Char.code (Bytes.unsafe_get t.data i)) * 0x100000001b3) land max_int
+  for p = 0 to t.pages - 1 do
+    if t.gens.(p) = 0 then h := (!h * zero_page_factor) land max_int
+    else
+      for i = p * page_size to ((p + 1) * page_size) - 1 do
+        h := ((!h lxor Char.code (Bytes.unsafe_get t.data i)) * fnv_prime) land max_int
+      done
   done;
   !h

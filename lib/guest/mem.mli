@@ -37,8 +37,18 @@ val read_string : t -> at:int -> len:int -> string
 
 val page_of : int -> int
 val page_generation : t -> page:int -> int
-(** Monotonic counter bumped by every store touching [page]. *)
+(** Monotonic counter bumped by every store touching [page]; 0 means the
+    page was never stored to. *)
 
 val checksum : t -> int
-(** Order-independent-of-nothing FNV-style digest of all bytes; used by
-    tests to compare whole memory states cheaply. *)
+(** Order-dependent FNV-style fold over every byte [b] at addresses
+    [0 .. size t - 1], in address order: starting from [h = 0xcbf29ce4],
+    [h := ((h lxor b) * 0x100000001b3) land max_int]. It backs run digests
+    ({!Interp.state_digest}), VM fingerprints and every checkpoint capture.
+
+    Cost: one multiply for each page whose generation is still 0, plus
+    4,096 steps for each page that was stored to. A never-stored page still
+    holds the zeros {!create} wrote, and a zero byte only multiplies the
+    state by the prime, so the whole page is one multiply by a precomputed
+    power. This is exact only if every writer bumps the generation of each
+    page it changes; a new mutator of [t] must do so too. *)
