@@ -64,7 +64,8 @@ val guest_instructions : t -> int
 val output : t -> string
 val guest_reg : t -> Insn.reg -> int
 val digest : t -> int
-(** Comparable with {!Vat_guest.Interp.digest} / {!Xrun.digest}. *)
+(** {!Vat_guest.Interp.state_digest} of the guest state, so comparable
+    with {!Vat_guest.Interp.digest} / {!Xrun.digest}. *)
 
 val capture : t -> string
 (** Checkpoint section payload: registers, memory/scratch digests,

@@ -142,11 +142,6 @@ let run ~fuel t =
   match !result with Some r -> r | None -> assert false
 
 let digest t =
-  let h = ref (Mem.checksum t.prog.Program.mem) in
-  let mix v = h := ((!h * 0x100000001b3) lxor v) land max_int in
-  for i = 0 to 7 do
-    mix t.regs.(Hinsn.guest_reg_base + i)
-  done;
-  mix (t.regs.(Hinsn.flags_reg) land Flags.all_mask);
-  String.iter (fun c -> mix (Char.code c)) (output t);
-  !h
+  Interp.state_digest t.prog.Program.mem
+    ~reg:(fun i -> t.regs.(Hinsn.guest_reg_base + i))
+    ~flags:t.regs.(Hinsn.flags_reg) ~output:(output t)

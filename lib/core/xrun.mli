@@ -26,8 +26,9 @@ val guest_reg : t -> Insn.reg -> int
 val flags : t -> int
 
 val digest : t -> int
-(** Same recipe as {!Vat_guest.Interp.digest}: a finished [Xrun] of a
-    program must produce the same digest as a finished interpreter run. *)
+(** {!Vat_guest.Interp.state_digest} of the guest state, as
+    {!Vat_guest.Interp.digest} computes it: a finished [Xrun] of a program
+    must produce the same digest as a finished interpreter run. *)
 
 val scratch_base : int
 (** Reserved address region for register-allocator spill slots; guest

@@ -37,5 +37,15 @@ val observe : t -> (int Insn.t -> unit) -> unit
     the PIII timing model and by profilers). *)
 
 val digest : t -> int
-(** Hash of registers, flags, output, and full memory — used to compare a
-    finished interpreter run against a finished DBT run. *)
+(** {!state_digest} of this interpreter's memory, registers, flags and
+    output — used to compare a finished interpreter run against a finished
+    DBT run. *)
+
+val state_digest :
+  Mem.t -> reg:(int -> int) -> flags:int -> output:string -> int
+(** The guest-state digest every engine reports ({!digest},
+    [Vat_core.Exec.digest], [Vat_core.Xrun.digest]): starting from
+    {!Mem.checksum}, mix in the eight guest registers ([reg i] for [i] in
+    0..7, {!Insn.reg_index} order), then [flags land Flags.all_mask], then
+    each output byte, each step [h := ((h * 0x100000001b3) lxor v) land
+    max_int]. *)
