@@ -18,9 +18,11 @@ let morph_cfg ?(threshold = 15) () =
 
 (* Per-benchmark translation memos: every cell of a config sweep over one
    benchmark retranslates the same guest blocks, so cells share a keyed
-   memo (see Translate.Memo — sound across configs and domains, and
-   invisible in modelled timing). Created on the main domain only; worker
-   tasks capture their handle before the pool launches. *)
+   memo (see Translate.Memo — invisible in modelled timing). A memo is
+   sound across programs too; one per benchmark is kept for hit rate
+   only, since different surrogates share almost no reusable blocks and
+   would evict each other's entries. Created on the main domain only;
+   worker tasks capture their handle before the pool launches. *)
 let memos : (string, Translate.Memo.t) Hashtbl.t = Hashtbl.create 16
 
 let memo_for (b : Suite.benchmark) =

@@ -147,8 +147,10 @@ let bench_scoreboard =
           done;
           ignore !hits))
 
-(* The translation memo's hit path: key build, lookup, generation
-   revalidation — what a config-sweep cell pays instead of retranslating. *)
+(* The translation memo's hit path: key build, lookup, guest-byte
+   comparison — what a config-sweep cell pays instead of retranslating.
+   Like bench's per-benchmark memos, this one serves a single program,
+   for hit rate only: a memo is sound across programs. *)
 let bench_memo_hit =
   Test.make ~name:"translate-memo-hit"
     (Staged.stage

@@ -83,7 +83,9 @@ type t = {
       (** Base deadline for a code fill before it is retried. *)
   fill_max_retries : int;
   fill_backoff_mult : int;
-      (** Each retry multiplies the deadline (exponential backoff). *)
+      (** Each retry multiplies the deadline (exponential backoff). It
+          also paces data-memory retries and the retransmits of
+          unacknowledged installs. *)
   mem_deadline_cycles : int;
       (** Base deadline for a data-memory access before it is retried. *)
   mem_max_retries : int;

@@ -10,7 +10,7 @@ type outcome =
   | Fault of string
   | Out_of_fuel
 
-let scratch_base = Xrun.scratch_base
+let scratch_base = 0xFFF00000
 
 type syscall_req = {
   s_eax : int;
@@ -206,7 +206,8 @@ let finish t outcome =
 
 let abort t msg = finish t (Fault msg)
 let finished t = t.outcome <> None
-let slow_syscall t ~factor ~cycles = Service.slow t.syscall_svc ~factor ~cycles
+let slow_syscall t ~factor ~cycles =
+  Service.inject t.syscall_svc (Fault.Slow { factor; cycles })
 
 (* Schedule an interaction with another tile at the engine's local time
    (the queue may be lagging behind the engine). *)

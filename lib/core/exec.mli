@@ -17,6 +17,9 @@ type outcome =
   | Fault of string
   | Out_of_fuel
 
+val scratch_base : int
+(** Start of the spill-slot region; guests must not touch it. *)
+
 type t
 
 val create :
@@ -65,7 +68,8 @@ val output : t -> string
 val guest_reg : t -> Insn.reg -> int
 val digest : t -> int
 (** {!Vat_guest.Interp.state_digest} of the guest state, so comparable
-    with {!Vat_guest.Interp.digest} / {!Xrun.digest}. *)
+    with {!Vat_guest.Interp.digest} and the tests' translated-semantics
+    reference. *)
 
 val capture : t -> string
 (** Checkpoint section payload: registers, memory/scratch digests,

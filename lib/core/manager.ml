@@ -103,9 +103,9 @@ let rec kick_slaves t =
       s.busy <- true;
       s.current <- Some addr;
       Tr.emit t.pr.tb_slave.(i) ~cycle:(Event_queue.now t.q) ~arg:addr;
-      (* [gens]: the generations of the guest pages the translator read,
-         so a store racing with this translation is caught at install
-         time (and so a memo hit is known to be fresh). *)
+      (* [gens]: the current generations of the guest pages the block
+         covers, so a store racing with this translation is caught at
+         install time. *)
       let block, gens =
         Translate.translate_memo ?memo:t.memo t.cfg ~fetch:t.fetch
           ~page_gen:t.page_gen ~guest_addr:addr
@@ -642,15 +642,11 @@ let retire_l15 t i ~stat =
 let fail_l15_bank t i = retire_l15 t i ~stat:"fault.l15_failures"
 let quarantine_l15 t i = retire_l15 t i ~stat:"corrupt.quarantined_l15"
 
-let l15_drop t i n = Service.drop_next t.l15_services.(i) n
-let l15_slow t i ~factor ~cycles = Service.slow t.l15_services.(i) ~factor ~cycles
-let mgr_drop t n = Service.drop_next (mgr t) n
-let mgr_slow t ~factor ~cycles = Service.slow (mgr t) ~factor ~cycles
-
-let mgr_corrupt_next t n = Service.corrupt_next (mgr t) n
-let mgr_duplicate_next t n = Service.duplicate_next (mgr t) n
-let l15_corrupt_next t i n = Service.corrupt_next t.l15_services.(i) n
-let l15_duplicate_next t i n = Service.duplicate_next t.l15_services.(i) n
+let inject t (site : Fault.site) kind =
+  match site.role with
+  | Fault.Manager -> Service.inject (mgr t) kind
+  | Fault.L15 -> Service.inject t.l15_services.(site.index) kind
+  | _ -> invalid_arg "Manager.inject"
 
 let corrupt_l15_store t i ~salt =
   if i < 0 || i >= Array.length t.l15_banks then

@@ -25,11 +25,11 @@ val create :
   t
 (** [page_gen] reads a guest page's store-generation counter; translations
     are validated against it at install time so stores racing with an
-    in-flight translation cannot install stale code. [memo] lets runs over
-    the same guest image share translations (see {!Translate.Memo});
-    timing is unaffected. [trace] (default {!Vat_trace.Trace.disabled})
-    records per-tile timelines: service occupancy spans on the "manager"
-    and "l15.N" tracks, translate spans on "slave.N", L2/L1.5 code-cache
+    in-flight translation cannot install stale code. [memo] lets runs
+    share translations (see {!Translate.Memo}); timing is unaffected.
+    [trace] (default {!Vat_trace.Trace.disabled}) records per-tile
+    timelines: service occupancy spans on the "manager" and "l15.N"
+    tracks, translate spans on "slave.N", L2/L1.5 code-cache
     hit/miss/install events, and recovery-path instants. Tracing only
     observes; simulated cycle counts are unchanged. *)
 
@@ -100,22 +100,12 @@ val fail_l15_bank : t -> int -> unit
 (** Fail-stop an L1.5 bank: queued and future lookups re-route to the
     manager; the surviving banks absorb the address space. *)
 
-val l15_drop : t -> int -> int -> unit
-val l15_slow : t -> int -> factor:int -> cycles:int -> unit
-val mgr_drop : t -> int -> unit
-val mgr_slow : t -> factor:int -> cycles:int -> unit
+val inject : t -> Fault.site -> Fault.kind -> unit
+(** {!Vat_tiled.Service.inject} into the manager service (role [Manager];
+    a garbled fill is served with a tampered sum, an install arrives with
+    one) or L1.5 bank [index] (role [L15]). *)
 
-(** {2 Transient-corruption injection} *)
-
-val mgr_corrupt_next : t -> int -> unit
-(** Garble the next [n] messages through the manager service: a fill is
-    served with a tampered sum, an install arrives with one. *)
-
-val mgr_duplicate_next : t -> int -> unit
-(** Deliver the next [n] manager messages twice. *)
-
-val l15_corrupt_next : t -> int -> int -> unit
-val l15_duplicate_next : t -> int -> int -> unit
+(** {2 Storage-corruption injection} *)
 
 val corrupt_l15_store : t -> int -> salt:int -> bool
 (** Flip a bit in the stored sum of a resident line of L1.5 bank [i];

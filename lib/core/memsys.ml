@@ -370,20 +370,16 @@ let corrupt_bank ?prefer_dirty t i ~salt ~allow_dirty =
 
 let bank_corruptions t = Array.copy t.bank_corruptions
 
-let bank_drop t i n = Service.drop_next t.bank_services.(i) n
-let bank_slow t i ~factor ~cycles = Service.slow t.bank_services.(i) ~factor ~cycles
-let mmu_drop t n = Service.drop_next (the_mmu t) n
-let mmu_slow t ~factor ~cycles = Service.slow (the_mmu t) ~factor ~cycles
-
 (* No corrupt transformer is installed on the data-path services: a
    bit-flipped MMU or bank request is undecodable and is dropped at
    arrival (counted by the service), and the access-level deadline retry
    recovers it. Duplicated deliveries are absorbed by the first-reply-wins
    dedup in [access]. *)
-let bank_corrupt_next t i n = Service.corrupt_next t.bank_services.(i) n
-let bank_duplicate_next t i n = Service.duplicate_next t.bank_services.(i) n
-let mmu_corrupt_next t n = Service.corrupt_next (the_mmu t) n
-let mmu_duplicate_next t n = Service.duplicate_next (the_mmu t) n
+let inject t (site : Fault.site) kind =
+  match site.role with
+  | Fault.Mmu -> Service.inject (the_mmu t) kind
+  | Fault.L2d -> Service.inject t.bank_services.(site.index) kind
+  | _ -> invalid_arg "Memsys.inject"
 
 let dropped_requests t =
   Service.dropped (the_mmu t)

@@ -50,10 +50,11 @@ val fail_bank : t -> int -> unit
 
 val alive_banks : t -> int
 val bank_alive : t -> int -> bool
-val bank_drop : t -> int -> int -> unit
-val bank_slow : t -> int -> factor:int -> cycles:int -> unit
-val mmu_drop : t -> int -> unit
-val mmu_slow : t -> factor:int -> cycles:int -> unit
+
+val inject : t -> Fault.site -> Fault.kind -> unit
+(** {!Vat_tiled.Service.inject} into the MMU (role [Mmu]) or physical
+    bank [index] (role [L2d]). A garbled data-path request is dropped and
+    the access deadline recovers it. *)
 
 (** {2 Transient corruption}
 
@@ -89,14 +90,6 @@ val recovery_retire_bank : t -> int -> unit
 val bank_corruptions : t -> int array
 (** Detected parity events per physical bank (what the quarantine monitor
     samples). *)
-
-val bank_corrupt_next : t -> int -> int -> unit
-(** Garble the next [n] requests arriving at bank [i]; an undecodable
-    data-path message is dropped and the access deadline recovers it. *)
-
-val bank_duplicate_next : t -> int -> int -> unit
-val mmu_corrupt_next : t -> int -> unit
-val mmu_duplicate_next : t -> int -> unit
 
 val dropped_requests : t -> int
 (** Requests lost to faults across the MMU and bank services. *)

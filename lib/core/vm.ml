@@ -174,24 +174,19 @@ let apply_fault t (e : Fault.event) =
   | L2d, Fail_stop ->
     fail_tile ();
     Memsys.fail_bank ms idx
-  | L2d, Drop_requests n -> Memsys.bank_drop ms idx n
-  | L2d, Slow { factor; cycles } -> Memsys.bank_slow ms idx ~factor ~cycles
   | L15, Fail_stop ->
     fail_tile ();
     Manager.fail_l15_bank m idx
-  | L15, Drop_requests n -> Manager.l15_drop m idx n
-  | L15, Slow { factor; cycles } -> Manager.l15_slow m idx ~factor ~cycles
-  | Manager, Drop_requests n -> Manager.mgr_drop m n
-  | Manager, Slow { factor; cycles } -> Manager.mgr_slow m ~factor ~cycles
-  | Mmu, Drop_requests n -> Memsys.mmu_drop ms n
-  | Mmu, Slow { factor; cycles } -> Memsys.mmu_slow ms ~factor ~cycles
+  (* Message faults, and the storage corruptions below, are recoverable:
+     deadlines, checksums, acks and parity turn them into retries and
+     refetches, never into silently wrong guest state. *)
+  | (L15 | Manager),
+    (Drop_requests _ | Slow _ | Corrupt_payload _ | Duplicate_delivery _) ->
+    Manager.inject m e.site e.kind
+  | (L2d | Mmu),
+    (Drop_requests _ | Slow _ | Corrupt_payload _ | Duplicate_delivery _) ->
+    Memsys.inject ms e.site e.kind
   | Syscall, Slow { factor; cycles } -> Exec.slow_syscall x ~factor ~cycles
-  (* Transient corruption: bit flips in flight, in resident code-cache
-     lines, in L2D banks, and duplicated network deliveries. All of these
-     are recoverable — checksums, acks, and parity turn them into retries
-     and refetches, never into silently wrong guest state. *)
-  | L2d, Corrupt_payload n -> Memsys.bank_corrupt_next ms idx n
-  | L2d, Duplicate_delivery n -> Memsys.bank_duplicate_next ms idx n
   | L2d, Corrupt_storage -> begin
     (* Without rollback, only clean lines: corrupting the sole copy of
        dirty data is an unrecoverable fault, which the random recoverable
@@ -205,15 +200,9 @@ let apply_fault t (e : Fault.event) =
     | `Clean | `Dirty -> ()
     | `Absorbed -> absorbed ()
   end
-  | L15, Corrupt_payload n -> Manager.l15_corrupt_next m idx n
-  | L15, Duplicate_delivery n -> Manager.l15_duplicate_next m idx n
   | L15, Corrupt_storage ->
     if not (Manager.corrupt_l15_store m idx ~salt) then absorbed ()
-  | Manager, Corrupt_payload n -> Manager.mgr_corrupt_next m n
-  | Manager, Duplicate_delivery n -> Manager.mgr_duplicate_next m n
   | Manager, Corrupt_storage -> if not (Manager.corrupt_l2code m ~salt) then absorbed ()
-  | Mmu, Corrupt_payload n -> Memsys.mmu_corrupt_next ms n
-  | Mmu, Duplicate_delivery n -> Memsys.mmu_duplicate_next ms n
   | Exec, Corrupt_storage -> if not (Exec.corrupt_l1code x ~salt) then absorbed ()
   | _, (Corrupt_payload _ | Corrupt_storage | Duplicate_delivery _) ->
     (* A corruption kind aimed at a site with no matching store or message

@@ -31,9 +31,9 @@ val run :
     is a safety net against runaway simulations. Raises
     [Invalid_argument] if the configuration fails {!Config.validate}.
 
-    [memo] shares translations between runs over the same guest program
-    (host-side work only; modelled timing, digests and stats are
-    byte-identical with or without it — see {!Translate.Memo}).
+    [memo] shares translations between runs (host-side work only;
+    modelled timing, digests and stats are byte-identical with or
+    without it — see {!Translate.Memo}).
 
     [faults] (default empty) is a deterministic fault plan: each event is
     injected at its scheduled cycle, and a non-empty plan automatically

@@ -44,7 +44,7 @@ val digest : t -> int
 val state_digest :
   Mem.t -> reg:(int -> int) -> flags:int -> output:string -> int
 (** The guest-state digest every engine reports ({!digest},
-    [Vat_core.Exec.digest], [Vat_core.Xrun.digest]): starting from
+    [Vat_core.Exec.digest], the tests' [Xrun.digest]): starting from
     {!Mem.checksum}, mix in the eight guest registers ([reg i] for [i] in
     0..7, {!Insn.reg_index} order), then [flags land Flags.all_mask], then
     each output byte, each step [h := ((h * 0x100000001b3) lxor v) land

@@ -75,12 +75,22 @@ val fail : 'req t -> 'req list
 
 val failed : _ t -> bool
 
-val slow : _ t -> factor:int -> cycles:int -> unit
-(** Multiply service occupancy by [factor] for the next [cycles] cycles
-    (a degraded, not dead, tile). [factor <= 1] restores nominal speed. *)
+val inject : 'req t -> Fault.kind -> unit
+(** Inject a message fault:
+    - [Drop_requests n]: silently lose the next [n] requests that arrive.
+    - [Slow { factor; cycles }]: multiply service occupancy by [factor]
+      for the next [cycles] cycles (a degraded, not dead, tile);
+      [factor <= 1] restores nominal speed.
+    - [Corrupt_payload n]: the next [n] requests that arrive are
+      delivered through the owner's corrupt transformer (see
+      {!set_corrupt_handler}). Without one, a corrupted message is
+      undecodable and is silently lost (counted in {!dropped} and
+      {!corrupted}); upper-layer deadlines recover it.
+    - [Duplicate_delivery n]: the next [n] requests that arrive are
+      delivered twice; the owner's handler must be idempotent.
 
-val drop_next : _ t -> int -> unit
-(** Transient fault: silently lose the next [n] requests that arrive. *)
+    Raises [Invalid_argument] for [Fail_stop] (see {!fail}) and
+    [Corrupt_storage]. *)
 
 val dropped : _ t -> int
 (** Total requests lost to faults (queued at fail-stop, abandoned in
@@ -90,22 +100,11 @@ val set_reject_handler : 'req t -> ('req -> unit) -> unit
 (** Called (at arrival time) for each request arriving at a failed
     service; lets an owner re-route traffic to surviving tiles. *)
 
-val corrupt_next : 'req t -> int -> unit
-(** Soft-error injection: the next [n] requests that arrive are delivered
-    through the owner's corrupt transformer (see {!set_corrupt_handler}).
-    If no transformer is installed, a corrupted message is undecodable and
-    is silently lost (counted in {!dropped} and {!corrupted}); upper-layer
-    deadlines recover it. *)
-
-val duplicate_next : 'req t -> int -> unit
-(** The next [n] requests that arrive are delivered twice (a duplicated
-    network delivery); the owner's handler must be idempotent. *)
-
 val corrupted : _ t -> int
-(** Requests hit by {!corrupt_next} so far. *)
+(** Requests hit by [Corrupt_payload] so far. *)
 
 val duplicated : _ t -> int
-(** Requests redelivered by {!duplicate_next} so far. *)
+(** Requests redelivered by [Duplicate_delivery] so far. *)
 
 val set_corrupt_handler : 'req t -> ('req -> 'req) -> unit
 (** How a corrupted request manifests: the transformer returns the

@@ -165,7 +165,7 @@ let test_service_drop_next () =
   let q = Event_queue.create () in
   let completions = ref [] in
   let svc = mk_service q completions in
-  Service.drop_next svc 2;
+  Service.inject svc (Fault.Drop_requests 2);
   Service.submit svc ~delay:0 1;
   Service.submit svc ~delay:0 2;
   Service.submit svc ~delay:0 3;
@@ -181,7 +181,7 @@ let test_service_slow () =
     Service.create q ~name:"s" ~serve:(fun () ->
         (10, fun () -> done_at := Event_queue.now q :: !done_at))
   in
-  Service.slow svc ~factor:4 ~cycles:15;
+  Service.inject svc (Fault.Slow { factor = 4; cycles = 15 });
   Service.submit svc ~delay:0 ();  (* starts at 0, occupancy 40 *)
   Service.submit svc ~delay:100 (); (* window expired: occupancy 10 *)
   Event_queue.run q;
