@@ -103,8 +103,10 @@ let create q stats cfg layout prog ~manager ~memsys ?input
   regs.(Translate.guest_pin ESP) <- prog.Program.initial_esp;
   regs.(Regalloc.scratch_base_reg) <- scratch_base;
   let world = Syscall.create_world ?input ~brk0:prog.Program.brk0 () in
+  let exec_track = Tr.track trace "exec" in
+  let fill_track = Tr.track trace "exec.fill" in
   let syscall_svc =
-    Service.create q ~name:"syscall"
+    Service.create ~trace q ~name:"syscall"
       ~serve:(fun { s_eax; s_ebx; s_ecx; s_edx; s_reply } ->
         let occupancy =
           cfg.Config.syscall_base_cycles
@@ -120,13 +122,6 @@ let create q stats cfg layout prog ~manager ~memsys ?input
             in
             s_reply result ))
   in
-  let exec_track = Tr.track trace "exec" in
-  let fill_track = Tr.track trace "exec.fill" in
-  let sys_track = Tr.track trace "syscall" in
-  Service.set_probe syscall_svc
-    ~recv:(Tr.emitter trace ~track:sys_track Tr.Msg_recv)
-    ~start:(Tr.emitter trace ~track:sys_track Tr.Serve_begin)
-    ~stop:(Tr.emitter trace ~track:sys_track Tr.Serve_end);
   { q;
     stats;
     k =
@@ -206,8 +201,6 @@ let finish t outcome =
 
 let abort t msg = finish t (Fault msg)
 let finished t = t.outcome <> None
-let slow_syscall t ~factor ~cycles =
-  Service.inject t.syscall_svc (Fault.Slow { factor; cycles })
 
 (* Schedule an interaction with another tile at the engine's local time
    (the queue may be lagging behind the engine). *)
@@ -643,7 +636,22 @@ and wake t =
   | Running | Wait_reg _ | Wait_capacity _ | Wait_fill | Wait_syscall
   | Finished -> ()
 
-let corrupt_l1code t ~salt = Code_cache.L1.corrupt_one t.l1 ~salt
+(* The execution tile cannot lose its engine, and a syscall proxy that
+   dies or drops requests can swallow an exit in flight: both are
+   terminal rather than a hang until the watchdog. Only the L1 code store
+   can take a particle; the other corruption kinds hit nothing. *)
+let apply_fault t (site : Fault.site) (kind : Fault.kind) ~salt =
+  match (site.role, kind) with
+  | Exec, Corrupt_storage ->
+    if Code_cache.L1.corrupt_one t.l1 ~salt then `Applied else `Absorbed
+  | Syscall, Slow _ ->
+    Service.inject t.syscall_svc kind;
+    `Applied
+  | (Exec | Syscall), (Corrupt_payload _ | Corrupt_storage | Duplicate_delivery _) ->
+    `Absorbed
+  | Syscall, (Fail_stop | Drop_requests _)
+  | Exec, (Fail_stop | Drop_requests _ | Slow _) -> `Terminal
+  | (L15 | L2d | Manager | Mmu | Translator), _ -> invalid_arg "Exec.apply_fault"
 
 (* Checkpoint section: the complete guest-visible architectural state
    plus the engine's own scheduling state. Big arrays (guest memory,

@@ -53,15 +53,21 @@ val abort : t -> string -> unit
 
 val finished : t -> bool
 
-val slow_syscall : t -> factor:int -> cycles:int -> unit
-(** Degrade the syscall proxy tile (fault injection). *)
-
-val corrupt_l1code : t -> salt:int -> bool
-(** Soft error in the execution tile's instruction memory: flip a bit in
-    the stored sum of a resident L1 code entry. Detected at the next entry
-    of that block (with fault tolerance armed the L1 is flushed and the
-    block refetched; corrupt code is never executed); false when the L1 is
-    empty and the fault is absorbed. *)
+val apply_fault :
+  t -> Fault.site -> Fault.kind -> salt:int -> [ `Applied | `Absorbed | `Terminal ]
+(** A fault-plan event at the execution or syscall tile ([Invalid_argument]
+    for any other role):
+    - a slow-down of the syscall tile is {!Vat_tiled.Service.inject}ed
+      into its service;
+    - storage corruption of the execution tile flips a bit in the stored
+      sum of a resident L1 code entry, chosen from [salt]. It is detected
+      at the next entry of that block (with fault tolerance armed the L1
+      is flushed and the block refetched; corrupt code is never
+      executed);
+    - fail-stop or drops at either tile, or a slow execution tile, are
+      [`Terminal];
+    - [`Absorbed]: the L1 is empty, or the kind is a garbled or
+      duplicated message, or storage corruption at the syscall tile. *)
 
 val guest_instructions : t -> int
 val output : t -> string

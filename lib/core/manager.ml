@@ -86,7 +86,7 @@ let mgr t = match t.mgr_service with Some s -> s | None -> assert false
    translator slaves fill the pool from the far end, so slave [i] sits at
    pool slot [9 - i]. During a morph a tile changes hands but its
    coordinates (and hence latencies) stay put. *)
-let slave_pool_slot _t i = 9 - min 9 i
+let slave_pool_slot i = 9 - min 9 i
 
 let rec kick_slaves t =
   let idle = ref [] in
@@ -145,7 +145,7 @@ and send_install t i (block : Block.t) gens =
   t.next_seq <- seq + 1;
   let submit () =
     Service.submit (mgr t)
-      ~delay:(Layout.lat_manager_slave t.layout (slave_pool_slot t i))
+      ~delay:(Layout.lat_manager_slave t.layout (slave_pool_slot i))
       (Translated { seq; slave = i; block; sum = block.Block.checksum; gens })
   in
   submit ();
@@ -155,9 +155,9 @@ and send_install t i (block : Block.t) gens =
     let rec watch retries deadline =
       Event_queue.after t.q ~delay:deadline (fun () ->
           if Hashtbl.mem t.unacked seq then begin
-            if retries < t.cfg.Config.ack_max_retries
-               && not t.slaves.(i).failed
-            then begin
+            (* A failed slave retransmits nothing: [retire_slave] removed
+               its unacked seqs in the event that failed it. *)
+            if retries < t.cfg.Config.ack_max_retries then begin
               Stats.incr t.stats "corrupt.install_retransmits";
               Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:1;
               submit ();
@@ -191,7 +191,7 @@ and notify_drained t =
    still counts the install as unacknowledged. *)
 let send_ack t seq slave =
   Event_queue.after t.q
-    ~delay:(Layout.lat_manager_slave t.layout (slave_pool_slot t slave))
+    ~delay:(Layout.lat_manager_slave t.layout (slave_pool_slot slave))
     (fun () -> Hashtbl.remove t.unacked seq)
 
 let add_waiter t addr reply =
@@ -365,7 +365,8 @@ let create ?memo ?(trace = Tr.disabled) q stats cfg layout ~fetch ~page_gen =
   let n_l15 = max 1 cfg.Config.n_l15_banks in
   let mgr_track = Tr.track trace "manager" in
   let slave_track i = Tr.track trace (Printf.sprintf "slave.%d" i) in
-  let l15_track i = Tr.track trace (Printf.sprintf "l15.%d" i) in
+  let l15_name i = Printf.sprintf "l15.%d" i in
+  let l15_track i = Tr.track trace (l15_name i) in
   let pr =
     { tb_slave =
         Array.init 9 (fun i ->
@@ -394,7 +395,7 @@ let create ?memo ?(trace = Tr.disabled) q stats cfg layout ~fetch ~page_gen =
       memo;
       l2 = Code_cache.L2.create ~capacity:cfg.Config.l2_code_bytes;
       l15_banks =
-        Array.init (max 1 cfg.Config.n_l15_banks) (fun _ ->
+        Array.init n_l15 (fun _ ->
             Code_cache.L15.create ~capacity:cfg.Config.l15_bank_bytes);
       spec = Spec.create cfg stats;
       slaves =
@@ -407,7 +408,7 @@ let create ?memo ?(trace = Tr.disabled) q stats cfg layout ~fetch ~page_gen =
               slow_until = 0 });
       waiters = Hashtbl.create 64;
       slave_corruptions = Array.make 9 0;
-      l15_corruptions = Array.make (max 1 cfg.Config.n_l15_banks) 0;
+      l15_corruptions = Array.make n_l15 0;
       unacked = Hashtbl.create 16;
       acked = Hashtbl.create 256;
       next_seq = 0;
@@ -417,24 +418,16 @@ let create ?memo ?(trace = Tr.disabled) q stats cfg layout ~fetch ~page_gen =
       drain_waiters = [];
       pr }
   in
-  t.mgr_service <- Some (Service.create q ~name:"code-manager" ~serve:(serve_mgr t));
-  Service.set_probe (mgr t)
-    ~recv:(Tr.emitter trace ~track:mgr_track Tr.Msg_recv)
-    ~start:(Tr.emitter trace ~track:mgr_track Tr.Serve_begin)
-    ~stop:(Tr.emitter trace ~track:mgr_track Tr.Serve_end);
+  t.mgr_service <- Some (Service.create ~trace q ~name:"manager" ~serve:(serve_mgr t));
   Service.set_corrupt_handler (mgr t) (function
     | Fill { addr; corrupt = _; reply } -> Fill { addr; corrupt = true; reply }
     | Translated { seq; slave; block; sum; gens } ->
       Translated { seq; slave; block; sum = sum lxor 0x1000; gens });
   t.l15_services <-
-    Array.init (max 1 cfg.Config.n_l15_banks) (fun _i ->
-        Service.create q ~name:"l15" ~serve:(serve_l15 t));
-  Array.iteri
-    (fun i svc ->
-      Service.set_probe svc
-        ~recv:(Tr.emitter trace ~track:(l15_track i) Tr.Msg_recv)
-        ~start:(Tr.emitter trace ~track:(l15_track i) Tr.Serve_begin)
-        ~stop:(Tr.emitter trace ~track:(l15_track i) Tr.Serve_end);
+    Array.init n_l15 (fun i ->
+        Service.create ~trace q ~name:(l15_name i) ~serve:(serve_l15 t));
+  Array.iter
+    (fun svc ->
       Service.set_reject_handler svc (reroute_l15 t);
       Service.set_corrupt_handler svc (fun r -> { r with corrupt = true }))
     t.l15_services;
@@ -537,12 +530,6 @@ let invalidate_page t ~page =
 let queue_length t = Spec.queue_length t.spec
 
 let mgr_queue_length t = Service.queue_length (mgr t)
-let mgr_max_queue t = Service.max_queue_length (mgr t)
-
-let l15_max_queue t =
-  Array.fold_left
-    (fun acc s -> max acc (Service.max_queue_length s))
-    0 t.l15_services
 
 let active_slaves t =
   Array.fold_left (fun acc s -> if s.active then acc + 1 else acc) 0 t.slaves
@@ -607,27 +594,12 @@ let retire_slave t i ~stat =
     kick_slaves t
   end
 
-let fail_translator t i = retire_slave t i ~stat:"fault.translator_evictions"
-
 (* Policy monitors never retire the last usable slave: with zero slaves
    every fill degrades to the manager's demand-translate path forever,
    which is strictly worse than tolerating a noisy tile. An actual
-   fail-stop fault ([fail_translator]) is still allowed to take it. *)
+   fail-stop fault ([apply_fault]) is still allowed to take it. *)
 let quarantine_slave t i =
   if usable_slaves t > 1 then retire_slave t i ~stat:"corrupt.quarantined_slaves"
-
-let slow_translator t i ~factor ~cycles =
-  if i < 0 || i >= Array.length t.slaves then
-    invalid_arg "Manager.slow_translator";
-  let s = t.slaves.(i) in
-  if factor <= 1 then begin
-    s.slow_factor <- 1;
-    s.slow_until <- 0
-  end
-  else begin
-    s.slow_factor <- factor;
-    s.slow_until <- Event_queue.now t.q + max 0 cycles
-  end
 
 let retire_l15 t i ~stat =
   if i < 0 || i >= Array.length t.l15_services then
@@ -639,36 +611,65 @@ let retire_l15 t i ~stat =
     List.iter (reroute_l15 t) orphans
   end
 
-let fail_l15_bank t i = retire_l15 t i ~stat:"fault.l15_failures"
 let quarantine_l15 t i = retire_l15 t i ~stat:"corrupt.quarantined_l15"
 
-let inject t (site : Fault.site) kind =
-  match site.role with
-  | Fault.Manager -> Service.inject (mgr t) kind
-  | Fault.L15 -> Service.inject t.l15_services.(site.index) kind
-  | _ -> invalid_arg "Manager.inject"
+let fail_tile t coord = Grid.fail_tile (Layout.grid t.layout) coord
+let stored hit = if hit then `Applied else `Absorbed
 
-let corrupt_l15_store t i ~salt =
-  if i < 0 || i >= Array.length t.l15_banks then
-    invalid_arg "Manager.corrupt_l15_store";
-  Code_cache.L15.corrupt_one t.l15_banks.(i) ~salt
-
-let corrupt_l2code t ~salt = Code_cache.L2.corrupt_one t.l2 ~salt
+(* Message faults and storage corruption are recoverable: deadlines,
+   checksums, acks and sequence numbers turn them into retries and
+   refetches. A translator has no request stream of its own (it pops work
+   from the speculation queue), so a drop there is a no-op and a
+   corruption kind hits nothing. *)
+let apply_fault t (site : Fault.site) (kind : Fault.kind) ~salt =
+  let i = site.index in
+  match (site.role, kind) with
+  | Translator, Fail_stop ->
+    fail_tile t (Layout.pool t.layout (slave_pool_slot i));
+    retire_slave t i ~stat:"fault.translator_evictions";
+    `Applied
+  | Translator, Slow { factor; cycles } ->
+    let s = t.slaves.(i) in
+    s.slow_factor <- max 1 factor;
+    s.slow_until <- (if factor <= 1 then 0 else Event_queue.now t.q + max 0 cycles);
+    `Applied
+  | Translator, Drop_requests _ -> `Applied
+  | Translator, (Corrupt_payload _ | Corrupt_storage | Duplicate_delivery _) ->
+    `Absorbed
+  | L15, Fail_stop ->
+    fail_tile t (Layout.l15_bank t.layout i);
+    retire_l15 t i ~stat:"fault.l15_failures";
+    `Applied
+  | L15, Corrupt_storage -> stored (Code_cache.L15.corrupt_one t.l15_banks.(i) ~salt)
+  | L15, (Drop_requests _ | Slow _ | Corrupt_payload _ | Duplicate_delivery _) ->
+    Service.inject t.l15_services.(i) kind;
+    `Applied
+  | Manager, Fail_stop -> `Terminal
+  | Manager, Corrupt_storage -> stored (Code_cache.L2.corrupt_one t.l2 ~salt)
+  | Manager, (Drop_requests _ | Slow _ | Corrupt_payload _ | Duplicate_delivery _) ->
+    Service.inject (mgr t) kind;
+    `Applied
+  | (Exec | L2d | Mmu | Syscall), _ -> invalid_arg "Manager.apply_fault"
 
 let slave_corruptions t = Array.copy t.slave_corruptions
 let l15_bank_corruptions t = Array.copy t.l15_corruptions
 
-let dropped_requests t =
-  Service.dropped (mgr t)
-  + Array.fold_left (fun acc s -> acc + Service.dropped s) 0 t.l15_services
-
-let corrupted_messages t =
-  Service.corrupted (mgr t)
-  + Array.fold_left (fun acc s -> acc + Service.corrupted s) 0 t.l15_services
-
-let duplicated_messages t =
-  Service.duplicated (mgr t)
-  + Array.fold_left (fun acc s -> acc + Service.duplicated s) 0 t.l15_services
+(* End-of-run counters of the manager and L1.5 services. Queue high-water
+   marks are tracked unconditionally (see Service.max_queue_length): the
+   congestion signature behind the paper's Figure 5 without a trace. *)
+let finalize t =
+  let m = mgr t in
+  let banks f = Array.fold_left f 0 t.l15_services in
+  let sum count = banks (fun acc s -> acc + count s) in
+  Stats.set_max t.stats "svc.mgr_queue_hwm" (Service.max_queue_length m);
+  Stats.set_max t.stats "svc.l15_queue_hwm"
+    (banks (fun acc s -> max acc (Service.max_queue_length s)));
+  Stats.add t.stats "fault.dropped_requests"
+    (Service.dropped m + sum Service.dropped);
+  Stats.add t.stats "corrupt.messages"
+    (Service.corrupted m + sum Service.corrupted);
+  Stats.add t.stats "corrupt.duplicated"
+    (Service.duplicated m + sum Service.duplicated)
 
 (* Checkpoint section: slave states, code-cache digests, speculation
    state, install-ack protocol state, and every service's scalars. The

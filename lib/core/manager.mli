@@ -55,12 +55,6 @@ val queue_length : t -> int
 val mgr_queue_length : t -> int
 (** Requests waiting at (or in service on) the manager tile right now. *)
 
-val mgr_max_queue : t -> int
-(** High-water mark of the manager tile's request queue over the run. *)
-
-val l15_max_queue : t -> int
-(** Largest request-queue high-water mark across the L1.5 bank tiles. *)
-
 val active_slaves : t -> int
 
 val set_active_slaves : t -> int -> on_done:(unit -> unit) -> unit
@@ -84,39 +78,32 @@ val set_active_slaves : t -> int -> on_done:(unit -> unit) -> unit
     idempotent); a resident L2/L1.5 line whose stored sum stops matching
     is dropped and retranslated on demand. Corrupt code is never run. *)
 
-val fail_translator : t -> int -> unit
-(** Fail-stop slave [i]: permanently evicted from the pool; its in-flight
-    translation is requeued for a surviving slave. *)
-
-val slow_translator : t -> int -> factor:int -> cycles:int -> unit
+val apply_fault :
+  t -> Fault.site -> Fault.kind -> salt:int -> [ `Applied | `Absorbed | `Terminal ]
+(** A fault-plan event at a translator, L1.5 bank or the manager
+    ([Invalid_argument] for any other role):
+    - fail-stop of translator [i] marks its pool tile failed and evicts
+      the slave; its in-flight translation is requeued for a survivor;
+    - fail-stop of L1.5 bank [i] marks its tile failed; queued and future
+      lookups re-route to the manager and the surviving banks absorb the
+      address space;
+    - fail-stop of the manager is [`Terminal]: the run cannot go on
+      without it;
+    - drops, slow-downs, garbled and duplicated messages are
+      {!Vat_tiled.Service.inject}ed into the manager or bank service (a
+      garbled fill is served with a tampered sum, an install arrives with
+      one); a translator serves no messages, so it only slows down;
+    - storage corruption flips a bit in the stored sum of one resident
+      line (chosen from [salt]) of the bank or of the L2 code cache.
+    [`Absorbed] means the fault hit nothing: an empty store, or a
+    corruption kind at a translator. *)
 
 val usable_slaves : t -> int
 (** Slaves that have not fail-stopped (the morph ceiling). *)
 
-val slave_pool_slot : t -> int -> int
-(** The pool-tile slot (see {!Layout.pool}) slave [i] occupies. *)
-
-val fail_l15_bank : t -> int -> unit
-(** Fail-stop an L1.5 bank: queued and future lookups re-route to the
-    manager; the surviving banks absorb the address space. *)
-
-val inject : t -> Fault.site -> Fault.kind -> unit
-(** {!Vat_tiled.Service.inject} into the manager service (role [Manager];
-    a garbled fill is served with a tampered sum, an install arrives with
-    one) or L1.5 bank [index] (role [L15]). *)
-
-(** {2 Storage-corruption injection} *)
-
-val corrupt_l15_store : t -> int -> salt:int -> bool
-(** Flip a bit in the stored sum of a resident line of L1.5 bank [i];
-    false when the bank holds nothing (fault absorbed). *)
-
-val corrupt_l2code : t -> salt:int -> bool
-(** Same for the manager's L2 code cache. *)
-
 val quarantine_slave : t -> int -> unit
 (** Retire a slave whose deliveries keep failing verification — same
-    mechanics as {!fail_translator}, separate accounting. Refuses to
+    mechanics as a translator fail-stop, separate accounting. Refuses to
     retire the last usable slave (a policy monitor must not reduce the
     machine to demand-translation forever; a real fail-stop still can). *)
 
@@ -128,13 +115,12 @@ val slave_corruptions : t -> int array
 
 val l15_bank_corruptions : t -> int array
 
-val dropped_requests : t -> int
-(** Requests lost to faults across the manager and L1.5 services. *)
-
-val corrupted_messages : t -> int
-(** Messages garbled in flight across the manager and L1.5 services. *)
-
-val duplicated_messages : t -> int
+val finalize : t -> unit
+(** Add the end-of-run counters of the manager and L1.5 services to the
+    run's stats: queue high-water marks ("svc.mgr_queue_hwm",
+    "svc.l15_queue_hwm") and requests dropped, garbled and duplicated by
+    faults ("fault.dropped_requests", "corrupt.messages",
+    "corrupt.duplicated"). *)
 
 val capture : t -> string
 (** Checkpoint section payload: slave states, code-cache digests,

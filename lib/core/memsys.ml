@@ -34,7 +34,7 @@ type t = {
   mutable mmu : mmu_req Service.t option;
   mutable bank_services : bank_req Service.t array;
   mutable reconfiguring : bool;
-  mutable on_fatal : (bank:int -> string -> unit) option;
+  mutable on_fatal : bank:int -> unit;
   pr : probes;
 }
 
@@ -102,8 +102,8 @@ let bank_local_addr t paddr =
   ((line / t.n_banks) * t.cfg.Config.line_bytes)
   + (paddr mod t.cfg.Config.line_bytes)
 
-let make_bank_service t idx =
-  Service.create t.q ~name:(Printf.sprintf "l2d_bank%d" idx)
+let make_bank_service ~trace t idx =
+  Service.create ~trace t.q ~name:(Printf.sprintf "l2d.%d" idx)
     ~serve:(fun { paddr; bwrite; bank; bon_done } ->
       let cache = t.banks.(bank) in
       let { Cache.hit; writeback; parity } =
@@ -131,27 +131,24 @@ let make_bank_service t idx =
          loudly — never return a silent wrong value. *)
       let occupancy, fatal =
         match parity with
-        | Cache.Parity_ok -> (occupancy, None)
+        | Cache.Parity_ok -> (occupancy, false)
         | Cache.Corrected ->
           Stats.incr t.stats "corrupt.parity_corrected";
           t.bank_corruptions.(bank) <- t.bank_corruptions.(bank) + 1;
-          (occupancy + t.cfg.Config.dram_cycles, None)
+          (occupancy + t.cfg.Config.dram_cycles, false)
         | Cache.Uncorrectable ->
           Stats.incr t.stats "corrupt.parity_uncorrectable";
           t.bank_corruptions.(bank) <- t.bank_corruptions.(bank) + 1;
-          ( occupancy,
-            Some (Printf.sprintf "uncorrectable L2D parity error (bank %d)" bank) )
+          (occupancy, true)
       in
       let reply_latency = Layout.lat_bank_exec t.layout bank in
       ( occupancy,
         fun () ->
-          (match fatal with
-           | Some msg -> (match t.on_fatal with Some f -> f ~bank msg | None -> ())
-           | None -> ());
+          if fatal then t.on_fatal ~bank;
           Event_queue.after t.q ~delay:reply_latency bon_done ))
 
-let make_mmu t =
-  Service.create t.q ~name:"mmu"
+let make_mmu ~trace t =
+  Service.create ~trace t.q ~name:"mmu"
     ~serve:(fun { vaddr; write; on_done } ->
       Stats.incr t.stats "mmu.requests";
       let vpage = vaddr / Mem.page_size in
@@ -217,22 +214,11 @@ let create ?(trace = Tr.disabled) q stats cfg layout ~page_table =
       mmu = None;
       bank_services = [||];
       reconfiguring = false;
-      on_fatal = None;
+      on_fatal = (fun ~bank:_ -> ());
       pr }
   in
-  t.mmu <- Some (make_mmu t);
-  t.bank_services <- Array.init max_banks (make_bank_service t);
-  Service.set_probe (the_mmu t)
-    ~recv:(Tr.emitter trace ~track:mmu_track Tr.Msg_recv)
-    ~start:(Tr.emitter trace ~track:mmu_track Tr.Serve_begin)
-    ~stop:(Tr.emitter trace ~track:mmu_track Tr.Serve_end);
-  Array.iteri
-    (fun i svc ->
-      Service.set_probe svc
-        ~recv:(Tr.emitter trace ~track:(bank_track i) Tr.Msg_recv)
-        ~start:(Tr.emitter trace ~track:(bank_track i) Tr.Serve_begin)
-        ~stop:(Tr.emitter trace ~track:(bank_track i) Tr.Serve_end))
-    t.bank_services;
+  t.mmu <- Some (make_mmu ~trace t);
+  t.bank_services <- Array.init max_banks (make_bank_service ~trace t);
   t
 
 let submit_access t ~addr ~write ~on_done =
@@ -346,8 +332,6 @@ let retire_bank t i ~stat =
           Stats.add t.stats "fault.rebank_writebacks" dirty)
   end
 
-let fail_bank t i = retire_bank t i ~stat:"fault.l2d_bank_failures"
-
 (* The corruption-rate monitor must never retire the last working bank: a
    machine with zero banks still runs (uncached DRAM), but losing the
    final bank to a *policy* decision — rather than an actual fault — is
@@ -362,11 +346,7 @@ let recovery_retire_bank t i = retire_bank t i ~stat:"recovery.quarantined_banks
 let alive_banks t = alive_count t
 let bank_alive t i = i >= 0 && i < max_banks && t.alive.(i)
 
-let set_fatal_handler t f = t.on_fatal <- Some f
-
-let corrupt_bank ?prefer_dirty t i ~salt ~allow_dirty =
-  if i < 0 || i >= max_banks then invalid_arg "Memsys.corrupt_bank";
-  Cache.corrupt_line ?prefer_dirty t.banks.(i) ~salt ~allow_dirty
+let set_fatal_handler t f = t.on_fatal <- f
 
 let bank_corruptions t = Array.copy t.bank_corruptions
 
@@ -374,24 +354,37 @@ let bank_corruptions t = Array.copy t.bank_corruptions
    bit-flipped MMU or bank request is undecodable and is dropped at
    arrival (counted by the service), and the access-level deadline retry
    recovers it. Duplicated deliveries are absorbed by the first-reply-wins
-   dedup in [access]. *)
-let inject t (site : Fault.site) kind =
-  match site.role with
-  | Fault.Mmu -> Service.inject (the_mmu t) kind
-  | Fault.L2d -> Service.inject t.bank_services.(site.index) kind
-  | _ -> invalid_arg "Memsys.inject"
-
-let dropped_requests t =
-  Service.dropped (the_mmu t)
-  + Array.fold_left (fun acc s -> acc + Service.dropped s) 0 t.bank_services
-
-let corrupted_messages t =
-  Service.corrupted (the_mmu t)
-  + Array.fold_left (fun acc s -> acc + Service.corrupted s) 0 t.bank_services
-
-let duplicated_messages t =
-  Service.duplicated (the_mmu t)
-  + Array.fold_left (fun acc s -> acc + Service.duplicated s) 0 t.bank_services
+   dedup in [access]. The MMU keeps no store a particle could hit. *)
+let apply_fault t (site : Fault.site) (kind : Fault.kind) ~salt ~allow_dirty =
+  let i = site.index in
+  match (site.role, kind) with
+  | L2d, Fail_stop ->
+    Grid.fail_tile (Layout.grid t.layout) (Layout.pool t.layout i);
+    retire_bank t i ~stat:"fault.l2d_bank_failures";
+    `Applied
+  | L2d, Corrupt_storage -> begin
+    (* Without rollback, only clean lines: corrupting the sole copy of
+       dirty data is an unrecoverable fault, which the random recoverable
+       menu must never produce (the parity unit tests exercise that path
+       directly). With rollback armed the dirty-loss path is survivable —
+       and is deliberately preferred, so recovery actually gets
+       exercised. *)
+    match
+      Cache.corrupt_line ~prefer_dirty:allow_dirty t.banks.(i) ~salt ~allow_dirty
+    with
+    | `Clean | `Dirty -> `Applied
+    | `Absorbed -> `Absorbed
+  end
+  | L2d, (Drop_requests _ | Slow _ | Corrupt_payload _ | Duplicate_delivery _) ->
+    Service.inject t.bank_services.(i) kind;
+    `Applied
+  | Mmu, Fail_stop -> `Terminal
+  | Mmu, Corrupt_storage -> `Absorbed
+  | Mmu, (Drop_requests _ | Slow _ | Corrupt_payload _ | Duplicate_delivery _) ->
+    Service.inject (the_mmu t) kind;
+    `Applied
+  | (Exec | L15 | Manager | Syscall | Translator), _ ->
+    invalid_arg "Memsys.apply_fault"
 
 let parity_events t =
   Array.fold_left (fun acc c -> acc + Cache.parity_events c) 0 t.banks
@@ -399,15 +392,22 @@ let parity_events t =
 let bank_queue_total t =
   Array.fold_left (fun acc s -> acc + Service.queue_length s) 0 t.bank_services
 
-let mmu_max_queue t = Service.max_queue_length (the_mmu t)
-
-let bank_max_queue t =
-  Array.fold_left
-    (fun acc s -> max acc (Service.max_queue_length s))
-    0 t.bank_services
-
-let tlb_hits t = t.tlb_hits
-let tlb_misses t = t.tlb_misses
+(* End-of-run counters of the TLB and the MMU and bank services. *)
+let finalize t =
+  let mmu = the_mmu t in
+  let banks f = Array.fold_left f 0 t.bank_services in
+  let sum count = banks (fun acc s -> acc + count s) in
+  Stats.add t.stats "mmu.tlb_hits" t.tlb_hits;
+  Stats.add t.stats "mmu.tlb_misses" t.tlb_misses;
+  Stats.set_max t.stats "svc.mmu_queue_hwm" (Service.max_queue_length mmu);
+  Stats.set_max t.stats "svc.l2d_queue_hwm"
+    (banks (fun acc s -> max acc (Service.max_queue_length s)));
+  Stats.add t.stats "fault.dropped_requests"
+    (Service.dropped mmu + sum Service.dropped);
+  Stats.add t.stats "corrupt.messages"
+    (Service.corrupted mmu + sum Service.corrupted);
+  Stats.add t.stats "corrupt.duplicated"
+    (Service.duplicated mmu + sum Service.duplicated)
 
 (* Checkpoint section: TLB arrays, banking geometry, per-bank cache
    digests and service scalars. Pure observation. *)

@@ -41,20 +41,35 @@ val reconfigure_banks : t -> int -> on_done:(int -> unit) -> unit
 
 (** {2 Fault injection and recovery} *)
 
-val fail_bank : t -> int -> unit
-(** Fail-stop physical bank [i]: its queued and in-flight requests are
-    lost (recovered by the access deadline), and a morph-style re-bank
-    drains the survivors, flushes them, and re-hashes the line interleave
-    over the remaining alive banks. With no banks left, the MMU serves
-    accesses straight from DRAM. *)
+val apply_fault :
+  t ->
+  Fault.site ->
+  Fault.kind ->
+  salt:int ->
+  allow_dirty:bool ->
+  [ `Applied | `Absorbed | `Terminal ]
+(** A fault-plan event at an L2D bank or the MMU ([Invalid_argument] for
+    any other role):
+    - fail-stop of physical bank [i] marks its pool tile failed; its
+      queued and in-flight requests are lost (recovered by the access
+      deadline), and a morph-style re-bank drains the survivors, flushes
+      them, and re-hashes the line interleave over the remaining alive
+      banks. With no banks left, the MMU serves accesses straight from
+      DRAM;
+    - fail-stop of the MMU is [`Terminal];
+    - drops, slow-downs, garbled and duplicated messages are
+      {!Vat_tiled.Service.inject}ed into the MMU or bank service; a
+      garbled data-path request is dropped and the access deadline
+      recovers it;
+    - storage corruption flips bits in one resident line of bank [i],
+      chosen from [salt] (see {!Vat_tiled.Cache.corrupt_line}). A dirty
+      line is eligible, and preferred, only when [allow_dirty]: a run
+      armed for rollback survives its loss.
+    [`Absorbed] means the fault hit nothing: no eligible line, or storage
+    corruption at the MMU. *)
 
 val alive_banks : t -> int
 val bank_alive : t -> int -> bool
-
-val inject : t -> Fault.site -> Fault.kind -> unit
-(** {!Vat_tiled.Service.inject} into the MMU (role [Mmu]) or physical
-    bank [index] (role [L2d]). A garbled data-path request is dropped and
-    the access deadline recovers it. *)
 
 (** {2 Transient corruption}
 
@@ -64,20 +79,14 @@ val inject : t -> Fault.site -> Fault.kind -> unit
     fatal handler fires — the run ends in a clean fault, never a silent
     wrong value. *)
 
-val set_fatal_handler : t -> (bank:int -> string -> unit) -> unit
+val set_fatal_handler : t -> (bank:int -> unit) -> unit
 (** Called on an uncorrectable parity error with the offending physical
-    bank (typically {!Exec.abort}; a rollback-armed VM instead records
-    the bank as the quarantine target for the next recovery attempt). *)
-
-val corrupt_bank :
-  ?prefer_dirty:bool ->
-  t -> int -> salt:int -> allow_dirty:bool -> [ `Clean | `Dirty | `Absorbed ]
-(** Flip bits in a resident line of physical bank [i] (see
-    {!Vat_tiled.Cache.corrupt_line}). *)
+    bank. The VM ends the run with a fault or, armed for rollback,
+    records the bank as the quarantine target for the next attempt. *)
 
 val quarantine_bank : t -> int -> unit
 (** Retire a bank whose parity-error rate crossed the quarantine
-    threshold — same mechanics as {!fail_bank}, separate accounting.
+    threshold — same mechanics as a bank fail-stop, separate accounting.
     Refuses to retire the last alive bank (a policy monitor must not
     finish off the machine; an actual fault still can). *)
 
@@ -91,25 +100,16 @@ val bank_corruptions : t -> int array
 (** Detected parity events per physical bank (what the quarantine monitor
     samples). *)
 
-val dropped_requests : t -> int
-(** Requests lost to faults across the MMU and bank services. *)
-
-val corrupted_messages : t -> int
-val duplicated_messages : t -> int
-
 val parity_events : t -> int
 (** Corrupt clean lines scrubbed across all banks. *)
 
 val bank_queue_total : t -> int
 
-val mmu_max_queue : t -> int
-(** High-water mark of the MMU tile's request queue over the run. *)
-
-val bank_max_queue : t -> int
-(** Largest request-queue high-water mark across the L2D bank tiles. *)
-
-val tlb_hits : t -> int
-val tlb_misses : t -> int
+val finalize : t -> unit
+(** Add the end-of-run counters of the TLB and the MMU and bank services
+    to the run's stats: TLB hits and misses, queue high-water marks
+    ("svc.mmu_queue_hwm", "svc.l2d_queue_hwm") and requests dropped,
+    garbled and duplicated by faults. *)
 
 val capture : t -> string
 (** Checkpoint section payload: TLB contents, banking geometry, per-bank

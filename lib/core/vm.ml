@@ -76,7 +76,7 @@ let create ?input ?memo ?(trace = Tr.disabled) q stats cfg prog =
   (* An uncorrectable parity error (corrupt dirty L2D line: the only copy
      of the data is gone) must end the run as a clean fault or a rollback,
      never return a silent wrong value. *)
-  Memsys.set_fatal_handler memsys (fun ~bank _ ->
+  Memsys.set_fatal_handler memsys (fun ~bank ->
       terminate t (Parity_loss { at = Event_queue.now q; bank }));
   t
 
@@ -130,17 +130,15 @@ let fault_menu ?(recoverable_only = true) ?(classes = Fault.legacy_classes) cfg 
   end;
   Array.of_list (List.rev !menu)
 
-(* The tile a fault site occupies. *)
-let tile t (s : Fault.site) =
+(* The tile of a critical role: the one a survived terminal quarantines. *)
+let tile t (role : Fault.role) =
   let l = t.i_layout in
-  match s.role with
+  match role with
   | Exec -> Layout.exec l
-  | L15 -> Layout.l15_bank l s.index
-  | L2d -> Layout.pool l s.index
   | Manager -> Layout.manager l
   | Mmu -> Layout.mmu l
   | Syscall -> Layout.syscall l
-  | Translator -> Layout.pool l (Manager.slave_pool_slot t.i_manager s.index)
+  | L15 | L2d | Translator -> invalid_arg "Vm.tile: not a critical role"
 
 (* Retire what a survived terminal hit: the virtual architecture re-places
    the role away from the dead tile, and a bank that lost a dirty line
@@ -149,70 +147,31 @@ let quarantine t term =
   Stats.incr t.i_stats "recovery.quarantines";
   match term with
   | Parity_loss { bank; _ } -> Memsys.recovery_retire_bank t.i_memsys bank
-  | Failed e -> Grid.fail_tile (Layout.grid t.i_layout) (tile t e.site)
+  | Failed e -> Grid.fail_tile (Layout.grid t.i_layout) (tile t e.site.role)
 
+(* Each component owns what a fault does at its roles. Storage corruption
+   may hit a dirty L2D line only when rollback can survive its loss. *)
 let apply_fault t (e : Fault.event) =
-  let m = t.i_manager and ms = t.i_memsys and x = t.i_exec in
-  let stats = t.i_stats and idx = e.site.index in
+  let stats = t.i_stats in
   (* Deterministic victim-selection seed for storage corruption: a pure
      function of the event, so runs replay byte-identically. *)
-  let salt = (e.at * 31) + idx in
+  let salt = (e.at * 31) + e.site.index in
   Stats.incr stats "fault.injected";
   (match Fault.class_of_kind e.kind with
    | Fault.C_corrupt_payload | Fault.C_corrupt_storage | Fault.C_duplicate ->
      Stats.incr stats "corrupt.injected"
    | Fault.C_fail_stop | Fault.C_drop | Fault.C_slow -> ());
-  let absorbed () = Stats.incr stats "corrupt.absorbed" in
-  let fail_tile () = Grid.fail_tile (Layout.grid t.i_layout) (tile t e.site) in
-  let open Fault in
-  match (e.site.role, e.kind) with
-  | Translator, Fail_stop ->
-    fail_tile ();
-    Manager.fail_translator m idx
-  | Translator, Slow { factor; cycles } -> Manager.slow_translator m idx ~factor ~cycles
-  | Translator, Drop_requests _ -> ()
-  | L2d, Fail_stop ->
-    fail_tile ();
-    Memsys.fail_bank ms idx
-  | L15, Fail_stop ->
-    fail_tile ();
-    Manager.fail_l15_bank m idx
-  (* Message faults, and the storage corruptions below, are recoverable:
-     deadlines, checksums, acks and parity turn them into retries and
-     refetches, never into silently wrong guest state. *)
-  | (L15 | Manager),
-    (Drop_requests _ | Slow _ | Corrupt_payload _ | Duplicate_delivery _) ->
-    Manager.inject m e.site e.kind
-  | (L2d | Mmu),
-    (Drop_requests _ | Slow _ | Corrupt_payload _ | Duplicate_delivery _) ->
-    Memsys.inject ms e.site e.kind
-  | Syscall, Slow { factor; cycles } -> Exec.slow_syscall x ~factor ~cycles
-  | L2d, Corrupt_storage -> begin
-    (* Without rollback, only clean lines: corrupting the sole copy of
-       dirty data is an unrecoverable fault, which the random recoverable
-       menu must never produce (the parity unit tests exercise that path
-       directly). With rollback armed the dirty-loss path is survivable —
-       and is deliberately preferred, so recovery actually gets
-       exercised. *)
-    let dirty_ok = t.i_rollback in
-    match Memsys.corrupt_bank ms idx ~salt ~allow_dirty:dirty_ok
-            ~prefer_dirty:dirty_ok with
-    | `Clean | `Dirty -> ()
-    | `Absorbed -> absorbed ()
-  end
-  | L15, Corrupt_storage ->
-    if not (Manager.corrupt_l15_store m idx ~salt) then absorbed ()
-  | Manager, Corrupt_storage -> if not (Manager.corrupt_l2code m ~salt) then absorbed ()
-  | Exec, Corrupt_storage -> if not (Exec.corrupt_l1code x ~salt) then absorbed ()
-  | _, (Corrupt_payload _ | Corrupt_storage | Duplicate_delivery _) ->
-    (* A corruption kind aimed at a site with no matching store or message
-       stream (hand-built plans only): the particle hits nothing. *)
-    absorbed ()
-  (* A dead syscall proxy can swallow an exit in flight; treat it as the
-     unrecoverable loss it is rather than hang until the watchdog. *)
-  | (Manager | Mmu), Fail_stop
-  | Syscall, (Fail_stop | Drop_requests _)
-  | Exec, (Fail_stop | Drop_requests _ | Slow _) -> terminate t (Failed e)
+  let result =
+    match e.site.role with
+    | Translator | L15 | Manager -> Manager.apply_fault t.i_manager e.site e.kind ~salt
+    | L2d | Mmu ->
+      Memsys.apply_fault t.i_memsys e.site e.kind ~salt ~allow_dirty:t.i_rollback
+    | Exec | Syscall -> Exec.apply_fault t.i_exec e.site e.kind ~salt
+  in
+  match result with
+  | `Applied -> ()
+  | `Absorbed -> Stats.incr stats "corrupt.absorbed"
+  | `Terminal -> terminate t (Failed e)
 
 let fault_class_code k =
   match Fault.class_of_kind k with
@@ -492,28 +451,15 @@ let rec drive t ~max_cycles outcome =
     else `Done (Exec.Fault "simulation deadlock: no events")
 
 let finalize t morph outcome =
-  let stats = t.i_stats and manager = t.i_manager and memsys = t.i_memsys in
+  let stats = t.i_stats in
   let cycles = max (Event_queue.now t.i_q) (Exec.local_time t.i_exec) in
   Stats.add stats "total.cycles" cycles;
   Stats.add stats "total.guest_insns" (Exec.guest_instructions t.i_exec);
   Stats.add stats "morph.count" (Morph.morphs morph);
-  Stats.add stats "mmu.tlb_hits" (Memsys.tlb_hits memsys);
-  Stats.add stats "mmu.tlb_misses" (Memsys.tlb_misses memsys);
-  (* Service-queue high-water marks (tracked unconditionally; see
-     Service.max_queue_length) — the congestion signature behind the
-     paper's Figure 5 without needing a full trace. *)
-  Stats.set_max stats "svc.mgr_queue_hwm" (Manager.mgr_max_queue manager);
-  Stats.set_max stats "svc.l15_queue_hwm" (Manager.l15_max_queue manager);
-  Stats.set_max stats "svc.mmu_queue_hwm" (Memsys.mmu_max_queue memsys);
-  Stats.set_max stats "svc.l2d_queue_hwm" (Memsys.bank_max_queue memsys);
-  Stats.add stats "fault.dropped_requests"
-    (Manager.dropped_requests manager + Memsys.dropped_requests memsys);
+  Manager.finalize t.i_manager;
+  Memsys.finalize t.i_memsys;
   Stats.add stats "fault.failed_tiles"
     (Grid.failed_tiles (Layout.grid t.i_layout));
-  Stats.add stats "corrupt.messages"
-    (Manager.corrupted_messages manager + Memsys.corrupted_messages memsys);
-  Stats.add stats "corrupt.duplicated"
-    (Manager.duplicated_messages manager + Memsys.duplicated_messages memsys);
   { outcome;
     cycles;
     guest_insns = Exec.guest_instructions t.i_exec;

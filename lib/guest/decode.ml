@@ -77,11 +77,11 @@ let decode fetch ~at =
     | 0x01 ->
       let d = operand c in
       let s = operand c in
-      Mov (d, s)
+      Mov (no_imm c d, s)
     | 0x02 ->
       let d = operand c in
       let s = operand c in
-      Movb (d, s)
+      Movb (no_imm c d, s)
     | 0x03 ->
       let r = reg c in
       Movzxb (r, no_imm c (operand c))
@@ -102,14 +102,15 @@ let decode fetch ~at =
       in
       let d = operand c in
       let s = operand c in
-      Alu (a, d, s)
+      (* [cmp] and [test] only read their first operand. *)
+      Alu (a, (if Insn.alu_writes_dst a then no_imm c d else d), s)
     | 0x06 -> begin
       let u : Insn.unop =
         match u8 c with
         | 0 -> Inc | 1 -> Dec | 2 -> Neg | 3 -> Not
         | n -> bad at "bad unop %d" n
       in
-      Unop (u, operand c)
+      Unop (u, no_imm c (operand c))
     end
     | op when op >= 0x20 && op <= 0x24 ->
       let sh : Insn.shift =
@@ -122,7 +123,7 @@ let decode fetch ~at =
         else if amt_byte <= 31 then Sh_imm amt_byte
         else bad at "bad shift count %d" amt_byte
       in
-      Shift (sh, operand c, amt)
+      Shift (sh, no_imm c (operand c), amt)
     | 0x30 ->
       let r = reg c in
       Imul (r, operand c)
@@ -131,13 +132,13 @@ let decode fetch ~at =
     | 0x33 -> Idiv (no_imm c (operand c))
     | 0x34 -> Cdq
     | 0x40 -> Push (operand c)
-    | 0x41 -> Pop (operand c)
+    | 0x41 -> Pop (no_imm c (operand c))
     | 0x42 ->
       let b = u8 c in
       Xchg (Insn.reg_of_index ((b lsr 4) land 7), Insn.reg_of_index (b land 7))
     | 0x43 ->
       let cd = cond c in
-      Setcc (cd, operand c)
+      Setcc (cd, no_imm c (operand c))
     | 0x44 ->
       let cd = cond c in
       let rd = reg c in

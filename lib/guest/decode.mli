@@ -13,7 +13,8 @@ type fetch = int -> int
 val decode : fetch -> at:int -> int Insn.t * int
 (** [decode fetch ~at] decodes the instruction at guest address [at],
     returning it with its encoded length. Raises {!Bad_instruction} on an
-    unknown opcode or malformed operand. *)
+    unknown opcode or malformed operand, including an immediate where the
+    instruction writes that operand. *)
 
 val decode_string : string -> at:int -> origin:int -> int Insn.t * int
 (** Decode from a string holding an image that starts at guest address

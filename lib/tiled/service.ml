@@ -2,7 +2,6 @@ open Vat_desim
 
 type 'req t = {
   q : Event_queue.t;
-  name : string;
   serve : 'req -> int * (unit -> unit);
   pending : 'req Queue.t;
   mutable in_service : bool;
@@ -22,16 +21,17 @@ type 'req t = {
   mutable on_reject : ('req -> unit) option;
   mutable on_corrupt : ('req -> 'req) option;
   mutable max_queue : int;
-  (* Trace probes: null emitters by default, so an untraced service pays
+  (* Trace probes on the service's own track: an untraced service pays
      one dead branch per event (see Vat_trace.Trace). *)
-  mutable pr_recv : Vat_trace.Trace.emitter;
-  mutable pr_start : Vat_trace.Trace.emitter;
-  mutable pr_stop : Vat_trace.Trace.emitter;
+  pr_recv : Vat_trace.Trace.emitter;
+  pr_start : Vat_trace.Trace.emitter;
+  pr_stop : Vat_trace.Trace.emitter;
 }
 
-let create q ~name ~serve =
+let create ?(trace = Vat_trace.Trace.disabled) q ~name ~serve =
+  let track = Vat_trace.Trace.track trace name in
+  let probe kind = Vat_trace.Trace.emitter trace ~track kind in
   { q;
-    name;
     serve;
     pending = Queue.create ();
     in_service = false;
@@ -51,9 +51,9 @@ let create q ~name ~serve =
     on_reject = None;
     on_corrupt = None;
     max_queue = 0;
-    pr_recv = Vat_trace.Trace.null_emitter;
-    pr_start = Vat_trace.Trace.null_emitter;
-    pr_stop = Vat_trace.Trace.null_emitter }
+    pr_recv = probe Vat_trace.Trace.Msg_recv;
+    pr_start = probe Vat_trace.Trace.Serve_begin;
+    pr_stop = probe Vat_trace.Trace.Serve_end }
 
 (* "Idle" for drain purposes: nothing in service, and nothing startable
    (a paused service with queued work counts as drained — the queue will
@@ -172,11 +172,6 @@ let capture t =
     t.max_queue ]
 let busy_cycles t = t.busy_cycles
 let served t = t.served
-
-let set_probe t ~recv ~start ~stop =
-  t.pr_recv <- recv;
-  t.pr_start <- start;
-  t.pr_stop <- stop
 
 let drain_then t action =
   if idle t then action () else t.waiters <- action :: t.waiters

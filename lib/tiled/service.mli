@@ -12,11 +12,16 @@ open Vat_desim
 type 'req t
 
 val create :
+  ?trace:Vat_trace.Trace.t ->
   Event_queue.t ->
   name:string ->
   serve:('req -> int * (unit -> unit)) ->
   'req t
-(** [serve req] returns [(occupancy_cycles, on_complete)]. *)
+(** [serve req] returns [(occupancy_cycles, on_complete)]. With [trace]
+    (default disabled) the service records on the track [name]:
+    [Msg_recv] at each arrival (arg = queue length after enqueue),
+    [Serve_begin] when a request enters service (arg = queue length),
+    [Serve_end] at completion (arg = occupancy). *)
 
 val submit : 'req t -> delay:int -> 'req -> unit
 (** Deliver a request after [delay] cycles (its network latency). *)
@@ -30,17 +35,6 @@ val max_queue_length : _ t -> int
 
 val busy_cycles : _ t -> int
 (** Total cycles spent serving (utilization numerator). *)
-
-val set_probe :
-  _ t ->
-  recv:Vat_trace.Trace.emitter ->
-  start:Vat_trace.Trace.emitter ->
-  stop:Vat_trace.Trace.emitter ->
-  unit
-(** Install trace emitters: [recv] fires at each arrival (arg = queue
-    length after enqueue), [start] when a request enters service (arg =
-    queue length), [stop] at completion (arg = occupancy). Defaults are
-    null emitters, so an unprobed service records nothing. *)
 
 val served : _ t -> int
 

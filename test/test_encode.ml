@@ -156,6 +156,26 @@ let test_variable_length () =
     Alcotest.failf "expected at least 4 distinct lengths, got %d"
       (List.length sizes)
 
+(* [mov $0x70100, %eax] with the operands swapped: an immediate as the
+   written destination. The decoder refuses it, so both the interpreter
+   and the timed machine end in a guest fault rather than an exception. *)
+let test_decode_rejects_imm_dst () =
+  let bytes = [ 0x01; 0x01; 0x00; 0x01; 0x07; 0x00; 0x00; 0x00 ] in
+  let s = String.init (List.length bytes) (fun i -> Char.chr (List.nth bytes i)) in
+  (match Decode.decode_string s ~at:0 ~origin:0 with
+   | _ -> Alcotest.fail "decoded an immediate destination"
+   | exception Decode.Bad_instruction _ -> ());
+  let prog () =
+    Program.of_asm (Asm.Label "start" :: List.map (fun b -> Asm.Byte b) bytes)
+  in
+  (match Interp.run ~fuel:100 (Interp.create (prog ())) with
+   | Interp.Fault _ -> ()
+   | Interp.Exited _ | Interp.Out_of_fuel -> Alcotest.fail "Interp: expected a fault");
+  match (Vat_core.Vm.run ~fuel:100 Vat_core.Config.default (prog ())).outcome with
+  | Vat_core.Exec.Fault _ -> ()
+  | Vat_core.Exec.Exited _ | Vat_core.Exec.Out_of_fuel ->
+    Alcotest.fail "Vm: expected a fault"
+
 let suite =
   [ Alcotest.test_case "rejects two memory operands" `Quick test_rejects_two_mems;
     Alcotest.test_case "rejects immediate destination" `Quick test_rejects_imm_dst;
@@ -163,3 +183,5 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_roundtrip; prop_sizeof; prop_size_value_independent;
         prop_decode_garbage_terminates ]
+  @ [ Alcotest.test_case "decoder rejects immediate destination" `Quick
+        test_decode_rejects_imm_dst ]

@@ -358,6 +358,61 @@ let test_unrecoverable_manager () =
      Alcotest.fail "expected a clean unrecoverable-fault outcome");
   Alcotest.(check int) "counted" 1 (Metrics.get rv "fault.unrecoverable")
 
+(* Every role x kind pair as a one-event plan. [Vm.fault_menu] offers
+   only some pairs (no translator drop, syscall fail-stop or exec slow,
+   for example), so this is the only place the others run.
+   The pairs that hit no store or message stream count one absorbed
+   corruption; the terminal ones end the run cleanly; everything else is
+   invisible to the guest. *)
+let test_role_kind_matrix () =
+  let code, digest = interp_digest workload_program in
+  let kinds =
+    Fault.
+      [ Fail_stop; Drop_requests 4; Slow { factor = 4; cycles = 20_000 };
+        Corrupt_payload 3; Corrupt_storage; Duplicate_delivery 2 ]
+  in
+  let terminal =
+    Fault.
+      [ (Exec, C_fail_stop); (Exec, C_drop); (Exec, C_slow);
+        (Manager, C_fail_stop); (Mmu, C_fail_stop);
+        (Syscall, C_fail_stop); (Syscall, C_drop) ]
+  in
+  let absorbed =
+    Fault.
+      [ (Translator, C_corrupt_payload); (Translator, C_corrupt_storage);
+        (Translator, C_duplicate); (Mmu, C_corrupt_storage);
+        (Syscall, C_corrupt_payload); (Syscall, C_corrupt_storage);
+        (Syscall, C_duplicate); (Exec, C_corrupt_payload); (Exec, C_duplicate) ]
+  in
+  let n_terminal = ref 0 in
+  List.iter
+    (fun role ->
+      List.iter
+        (fun kind ->
+          let pair = (role, Fault.class_of_kind kind) in
+          let event = { Fault.at = 5_000; site = Fault.site role; kind } in
+          let name = Fault.event_to_string event in
+          let plan = Fault.make ~seed:1 [ event ] in
+          let rv =
+            Vm.run ~fuel ~faults:plan Config.default (Program.of_asm workload_program)
+          in
+          (match rv.outcome with
+           | Exec.Fault m when String.starts_with ~prefix:"unrecoverable fault" m ->
+             incr n_terminal;
+             Alcotest.(check bool) (name ^ " is terminal") true (List.mem pair terminal)
+           | Exec.Exited n ->
+             Alcotest.(check bool) (name ^ " is survivable") false (List.mem pair terminal);
+             Alcotest.(check int) (name ^ ": exit code") code n;
+             Alcotest.(check bool) (name ^ ": guest state") true (digest = rv.digest)
+           | Exec.Fault m -> Alcotest.failf "%s: faulted: %s" name m
+           | Exec.Out_of_fuel -> Alcotest.failf "%s: out of fuel" name);
+          if List.mem pair absorbed then
+            Alcotest.(check int) (name ^ ": absorbed") 1
+              (Metrics.get rv "corrupt.absorbed"))
+        kinds)
+    Fault.[ Exec; L15; L2d; Manager; Mmu; Syscall; Translator ];
+  Alcotest.(check int) "terminal pairs" 7 !n_terminal
+
 let test_watchdog_stall () =
   (* Deadline far beyond the watchdog: a lost fill hangs the engine and
      the watchdog must abort with diagnostics rather than spin forever. *)
@@ -497,4 +552,6 @@ let suite =
     Alcotest.test_case "vm: watchdog detects stalls" `Quick test_watchdog_stall;
     Alcotest.test_case "gzip survives 2 translators + 1 bank dying" `Slow
       test_gzip_survives_faults;
-    QCheck_alcotest.to_alcotest prop_fault_semantic_transparency ]
+    QCheck_alcotest.to_alcotest prop_fault_semantic_transparency;
+    Alcotest.test_case "vm: one fault per role x kind pair" `Quick
+      test_role_kind_matrix ]

@@ -102,9 +102,12 @@ let detect_one q memsys ~addr =
   let bank = ref (-1) in
   for i = 0 to 3 do
     if !bank < 0 then
-      match Memsys.corrupt_bank memsys i ~salt:1 ~allow_dirty:false with
-      | `Clean -> bank := i
-      | `Dirty | `Absorbed -> ()
+      match
+        Memsys.apply_fault memsys (Fault.site ~index:i Fault.L2d)
+          Fault.Corrupt_storage ~salt:1 ~allow_dirty:false
+      with
+      | `Applied -> bank := i
+      | `Absorbed | `Terminal -> ()
   done;
   Alcotest.(check bool) "found a resident clean line" true (!bank >= 0);
   touch q memsys ~addr;
