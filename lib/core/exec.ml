@@ -23,8 +23,8 @@ type syscall_req = {
 (* Why the engine is not currently running. *)
 type wait_state =
   | Running
-  | Wait_reg of int * int      (* register, resume pc *)
-  | Wait_capacity of int       (* resume pc (retry the load) *)
+  | Wait_reg                   (* [wait_reg], then resume at [wait_pc] *)
+  | Wait_capacity              (* a miss slot, then retry at [wait_pc] *)
   | Wait_fill
   | Wait_syscall
   | Finished
@@ -82,101 +82,23 @@ type t = {
   scratch : int array;
   ready_at : int array;        (* per register: cycle the value is usable *)
   pending : bool array;        (* per register: miss reply outstanding *)
+  miss_replies : (unit -> unit) array;  (* per register: L1D miss reply *)
   l1 : Code_cache.L1.t;
   l1d : Cache.t;
   syscall_svc : syscall_req Service.t;
   mutable pending_mask : int;  (* bit r <-> pending.(r); scoreboard fast path *)
   mutable t_local : int;
   mutable outstanding : int;
-  mutable entry : Code_cache.L1.entry option;
+  mutable entry : Code_cache.L1.entry;
   mutable pc : int;
   mutable wait : wait_state;
+  mutable wait_reg : int;
+  mutable wait_pc : int;
   mutable fuel : int;
   mutable guest_insns : int;
   mutable outcome : outcome option;
   mutable on_finish : outcome -> unit;
 }
-
-let create q stats cfg layout prog ~manager ~memsys ?input
-    ?(trace = Tr.disabled) () =
-  let regs = Array.make 32 0 in
-  regs.(Translate.guest_pin ESP) <- prog.Program.initial_esp;
-  regs.(Regalloc.scratch_base_reg) <- scratch_base;
-  let world = Syscall.create_world ?input ~brk0:prog.Program.brk0 () in
-  let exec_track = Tr.track trace "exec" in
-  let fill_track = Tr.track trace "exec.fill" in
-  let syscall_svc =
-    Service.create ~trace q ~name:"syscall"
-      ~serve:(fun { s_eax; s_ebx; s_ecx; s_edx; s_reply } ->
-        let occupancy =
-          cfg.Config.syscall_base_cycles
-          + (if s_eax = Syscall.sys_write || s_eax = Syscall.sys_read then
-               cfg.Config.syscall_per_byte_cycles * (s_edx land 0xFFFF)
-             else 0)
-        in
-        ( occupancy,
-          fun () ->
-            let result =
-              Syscall.dispatch world prog.Program.mem ~eax:s_eax ~ebx:s_ebx
-                ~ecx:s_ecx ~edx:s_edx
-            in
-            s_reply result ))
-  in
-  { q;
-    stats;
-    k =
-      { c_scoreboard_suspends = Stats.counter stats "exec.scoreboard_suspends";
-        c_stall_cycles = Stats.counter stats "exec.stall_cycles";
-        c_capacity_suspends = Stats.counter stats "exec.capacity_suspends";
-        c_l1d_loads = Stats.counter stats "l1d.loads";
-        c_l1d_load_misses = Stats.counter stats "l1d.load_misses";
-        c_l1d_stores = Stats.counter stats "l1d.stores";
-        c_l1d_store_misses = Stats.counter stats "l1d.store_misses";
-        c_l1d_writebacks = Stats.counter stats "l1d.writebacks";
-        c_smc_invalidations = Stats.counter stats "smc.invalidations";
-        c_indirect_transfers = Stats.counter stats "exec.indirect_transfers";
-        c_chained_transfers = Stats.counter stats "exec.chained_transfers";
-        c_dispatches = Stats.counter stats "exec.dispatches";
-        c_l1code_hits = Stats.counter stats "l1code.hits";
-        c_l1code_misses = Stats.counter stats "l1code.misses";
-        c_l1code_installs = Stats.counter stats "l1code.installs";
-        c_blocks = Stats.counter stats "exec.blocks";
-        c_syscalls = Stats.counter stats "exec.syscalls";
-        c_l1code_corrupt = Stats.counter stats "corrupt.l1code_detected";
-        c_silent_corruptions = Stats.counter stats "corrupt.silent" };
-    pb =
-      { p_dispatch = Tr.emitter trace ~track:exec_track Tr.Block_dispatch;
-        p_chain = Tr.emitter trace ~track:exec_track Tr.Block_chain;
-        p_l1_hit = Tr.emitter trace ~track:exec_track Tr.Cache_hit;
-        p_l1_miss = Tr.emitter trace ~track:exec_track Tr.Cache_miss;
-        p_l1_install = Tr.emitter trace ~track:exec_track Tr.Cache_install;
-        p_fill_begin = Tr.emitter trace ~track:fill_track Tr.Fill_begin;
-        p_fill_end = Tr.emitter trace ~track:fill_track Tr.Fill_end };
-    cfg;
-    layout;
-    prog;
-    manager;
-    memsys;
-    world;
-    regs;
-    scratch = Array.make 4096 0;
-    ready_at = Array.make 32 0;
-    pending = Array.make 32 false;
-    l1 = Code_cache.L1.create ~capacity:cfg.Config.l1_code_bytes;
-    l1d =
-      Cache.create ~name:"l1d" ~size_bytes:cfg.Config.l1d_bytes
-        ~ways:cfg.Config.l1d_ways ~line_bytes:cfg.Config.line_bytes;
-    syscall_svc;
-    pending_mask = 0;
-    t_local = 0;
-    outstanding = 0;
-    entry = None;
-    pc = 0;
-    wait = Running;
-    fuel = max_int;
-    guest_insns = 0;
-    outcome = None;
-    on_finish = ignore }
 
 let local_time t = t.t_local
 let guest_instructions t = t.guest_insns
@@ -249,6 +171,10 @@ let insn_extra_cost (insn : Hinsn.t) =
   | Div64 _ -> 40     (* soft-divide helper *)
   | _ -> 0
 
+(* Cycles charged per self-modifying-code invalidation: the store's page
+   loses its blocks everywhere and the L1 code cache is flushed. *)
+let smc_flush_cycles = 400
+
 let trap_message : Hinsn.trap -> string = function
   | Divide_error -> "divide error"
   | Divide_overflow -> "divide overflow"
@@ -271,53 +197,75 @@ let ctz m =
   if !m land 0x1 = 0 then incr n;
   !n
 
+(* The engine's entry before its first block and after a corrupt L1 is
+   flushed: an empty block at address -1. The engine never runs it (every
+   path that steps sets a real entry first) and never chains from it. *)
+let no_entry : Code_cache.L1.entry =
+  let block =
+    Block.make ~guest_addr:(-1) ~guest_len:0 ~guest_insns:0 ~code:[||]
+      ~term:(Block.T_fault "no block") ~optimized:false ~translation_cycles:0
+      ~page_lo:0 ~page_hi:(-1)
+  in
+  { block; stored_sum = block.checksum; chain_taken = None; chain_fall = None }
+
+type chain = [ `Taken | `Fall | `Unchained ]
+
+(* [pending_use]'s fold over an instruction's uses, in [Hinsn.uses]
+   order. The accumulator is the pending-register mask until the first
+   pending register is found, then that register tagged with
+   [found_pending]. It captures nothing, so the fold allocates nothing. *)
+let found_pending = 1 lsl 32
+
+let first_pending acc r =
+  if acc land found_pending <> 0 || r = 0 || acc land (1 lsl r) = 0 then acc
+  else found_pending lor r
+
 let rec step t =
-  match t.entry with
-  | None -> ()
-  | Some entry ->
-    let code = entry.block.code in
-    let len = Array.length code in
-    if t.pc >= len then terminator t entry
-    else begin
-      let insn = code.(t.pc) in
-      (* Scoreboard: stall (or suspend) until source registers are ready.
-         The per-step check is one [land] against the translation-time use
-         mask; the list walk below survives only on the suspend path. *)
-      let m = entry.block.masks.(t.pc) in
-      if Block.use_bits m land t.pending_mask <> 0 then begin
-        match pending_use t insn with
-        | Some r ->
-          t.wait <- Wait_reg (r, t.pc);
-          Stats.bump t.k.c_scoreboard_suspends
-        | None -> assert false
-      end
-      else begin
-        stall_to_ready t (Block.use_bits m);
-        (match insn with
-         | Load (w, rd, base, off) -> exec_load t insn w rd base off
-         | Store (w, rv, base, off) -> exec_store t w rv base off
-         | _ -> begin
-           match Hexec.step ~regs:t.regs ~mem:dummy_mem insn with
-           | Hexec.Next ->
-             t.t_local <- t.t_local + 1 + insn_extra_cost insn;
-             set_ready t (Block.def_bits m);
-             t.pc <- t.pc + 1;
-             step t
-           | Hexec.Goto target ->
-             t.t_local <- t.t_local + 1;
-             t.pc <- target;
-             step t
-           | Hexec.Trapped trap -> finish t (Fault (trap_message trap))
-         end)
-      end
+  let entry = t.entry in
+  let code = entry.block.code in
+  let len = Array.length code in
+  if t.pc >= len then terminator t entry
+  else begin
+    let insn = code.(t.pc) in
+    (* Scoreboard: stall (or suspend) until source registers are ready.
+       The per-step check is one [land] against the translation-time use
+       mask; the fold over uses runs only on the suspend path. *)
+    let m = entry.block.masks.(t.pc) in
+    if Block.use_bits m land t.pending_mask <> 0 then begin
+      let r = pending_use t insn in
+      assert (r > 0);
+      suspend_on t r t.pc;
+      Stats.bump t.k.c_scoreboard_suspends
     end
+    else begin
+      stall_to_ready t (Block.use_bits m);
+      (match insn with
+       | Load (w, rd, base, off) -> exec_load t w rd base off
+       | Store (w, rv, base, off) -> exec_store t w rv base off
+       | _ -> begin
+         match Hexec.step ~regs:t.regs ~mem:dummy_mem insn with
+         | Hexec.Next ->
+           t.t_local <- t.t_local + 1 + insn_extra_cost insn;
+           set_ready t (Block.def_bits m);
+           t.pc <- t.pc + 1;
+           step t
+         | Hexec.Goto target ->
+           t.t_local <- t.t_local + 1;
+           t.pc <- target;
+           step t
+         | Hexec.Trapped trap -> finish t (Fault (trap_message trap))
+       end)
+    end
+  end
+
+and suspend_on t r pc =
+  t.wait <- Wait_reg;
+  t.wait_reg <- r;
+  t.wait_pc <- pc
 
 and pending_use t insn =
-  let rec first = function
-    | [] -> None
-    | r :: rest -> if r <> 0 && t.pending.(r) then Some r else first rest
-  in
-  first (Hinsn.uses insn)
+  let acc = Hinsn.fold_uses first_pending t.pending_mask insn in
+  if acc land found_pending <> 0 then acc lxor found_pending else -1
 
 and stall_to_ready t mask =
   let m = ref mask in
@@ -338,16 +286,11 @@ and set_ready t mask =
     t.ready_at.(r) <- t.t_local
   done
 
-and exec_load t insn w rd base off =
+and exec_load t w rd base off =
   let addr = (t.regs.(base) + off) land 0xFFFFFFFF in
   if addr >= scratch_base then begin
     (* Tile-local spill area: fixed cost, no cache. *)
-    (match Hexec.step ~regs:t.regs
-             ~mem:{ load = value_load t; store = value_store t }
-             insn
-     with
-     | Hexec.Next -> ()
-     | Hexec.Goto _ | Hexec.Trapped _ -> assert false);
+    if rd <> 0 then t.regs.(rd) <- value_load t w addr land 0xFFFFFFFF;
     t.t_local <- t.t_local + 2;
     t.ready_at.(rd) <- t.t_local + 1;
     t.pc <- t.pc + 1;
@@ -383,7 +326,8 @@ and exec_load t insn w rd base off =
           issue_miss t rd addr ~blocking:true
         else if t.outstanding >= t.cfg.Config.max_outstanding then begin
           (* All miss slots busy: retry this load when one frees up. *)
-          t.wait <- Wait_capacity t.pc;
+          t.wait <- Wait_capacity;
+          t.wait_pc <- t.pc;
           Stats.bump t.k.c_capacity_suspends
         end
         else begin
@@ -398,19 +342,22 @@ and issue_miss t rd addr ~blocking =
   t.outstanding <- t.outstanding + 1;
   t.pending.(rd) <- true;
   t.pending_mask <- t.pending_mask lor (1 lsl rd);
-  at_local t (fun () ->
-      Memsys.access t.memsys ~addr ~write:false ~on_done:(fun () ->
-          let now = Event_queue.now t.q in
-          t.pending.(rd) <- false;
-          t.pending_mask <- t.pending_mask land lnot (1 lsl rd);
-          t.ready_at.(rd) <- now;
-          t.outstanding <- t.outstanding - 1;
-          wake t));
+  let on_done = t.miss_replies.(rd) in
+  at_local t (fun () -> Memsys.access t.memsys ~addr ~write:false ~on_done);
   if blocking then begin
-    t.wait <- Wait_reg (rd, t.pc + 1);
+    suspend_on t rd (t.pc + 1);
     (* The load itself completed functionally; resume after it. *)
     t.pc <- t.pc + 1
   end
+
+(* The reply to an L1D miss into [rd]; built once per register. *)
+and miss_reply t rd =
+  let now = Event_queue.now t.q in
+  t.pending.(rd) <- false;
+  t.pending_mask <- t.pending_mask land lnot (1 lsl rd);
+  t.ready_at.(rd) <- now;
+  t.outstanding <- t.outstanding - 1;
+  wake t
 
 and exec_store t w rv base off =
   let addr = (t.regs.(base) + off) land 0xFFFFFFFF in
@@ -439,7 +386,7 @@ and exec_store t w rv base off =
         Stats.bump t.k.c_smc_invalidations;
         Manager.invalidate_page t.manager ~page;
         Code_cache.L1.flush t.l1;
-        t.t_local <- t.t_local + 400
+        t.t_local <- t.t_local + smc_flush_cycles
       end;
       let { Cache.hit; writeback; parity = _ } =
         Cache.access t.l1d ~addr ~write:true
@@ -475,7 +422,7 @@ and terminator t entry =
   | Block.T_jcc { taken; fall } ->
     let r = Block.term_reg in
     if t.pending.(r) then begin
-      t.wait <- Wait_reg (r, t.pc) (* pc = len: re-run terminator *)
+      suspend_on t r t.pc (* pc = len: re-run terminator *)
     end
     else begin
       if t.ready_at.(r) > t.t_local then t.t_local <- t.ready_at.(r);
@@ -484,11 +431,11 @@ and terminator t entry =
     end
   | Block.T_jind _ ->
     let r = Block.term_reg in
-    if t.pending.(r) then t.wait <- Wait_reg (r, t.pc)
+    if t.pending.(r) then suspend_on t r t.pc
     else begin
       if t.ready_at.(r) > t.t_local then t.t_local <- t.ready_at.(r);
       Stats.bump t.k.c_indirect_transfers;
-      dispatch t ~chain_slot:None (t.regs.(r))
+      dispatch t ~chain:`Unchained (t.regs.(r))
     end
 
 and leave_direct t entry dir target =
@@ -506,9 +453,11 @@ and leave_direct t entry dir target =
     Tr.emit t.pb.p_chain ~cycle:t.t_local
       ~arg:next_entry.Code_cache.L1.block.Block.guest_addr;
     enter t next_entry
-  | None -> dispatch t ~chain_slot:(Some (entry, dir)) target
+  | None -> dispatch t ~chain:(dir :> chain) target
 
-and dispatch t ~chain_slot target =
+(* [chain] says which link of the current entry to point at the block
+   this dispatch finds. *)
+and dispatch t ~chain target =
   Stats.bump t.k.c_dispatches;
   t.t_local <- t.t_local + t.cfg.Config.dispatch_cycles;
   match Code_cache.L1.find t.l1 target with
@@ -516,13 +465,14 @@ and dispatch t ~chain_slot target =
     Stats.bump t.k.c_l1code_hits;
     Tr.emit t.pb.p_l1_hit ~cycle:t.t_local ~arg:target;
     Tr.emit t.pb.p_dispatch ~cycle:t.t_local ~arg:target;
-    set_chain t chain_slot next_entry;
+    set_chain t ~chain ~from:t.entry next_entry;
     enter t next_entry
   | None ->
     Stats.bump t.k.c_l1code_misses;
     Tr.emit t.pb.p_l1_miss ~cycle:t.t_local ~arg:target;
     Tr.emit t.pb.p_fill_begin ~cycle:t.t_local ~arg:target;
     t.wait <- Wait_fill;
+    let from = t.entry in
     at_local t (fun () ->
         Manager.note_on_path t.manager target;
         Manager.request_fill t.manager ~addr:target ~on_ready:(fun block ->
@@ -541,16 +491,16 @@ and dispatch t ~chain_slot target =
             Tr.emit t.pb.p_fill_end ~cycle:t.t_local ~arg:target;
             Tr.emit t.pb.p_l1_install ~cycle:t.t_local ~arg:target;
             Tr.emit t.pb.p_dispatch ~cycle:t.t_local ~arg:target;
-            set_chain t chain_slot next_entry;
+            set_chain t ~chain ~from next_entry;
             t.wait <- Running;
             enter t next_entry))
 
-and set_chain t chain_slot next_entry =
+and set_chain t ~chain ~(from : Code_cache.L1.entry) next_entry =
   if t.cfg.Config.chaining then
-    match chain_slot with
-    | Some (entry, `Taken) -> entry.Code_cache.L1.chain_taken <- Some next_entry
-    | Some (entry, `Fall) -> entry.Code_cache.L1.chain_fall <- Some next_entry
-    | None -> ()
+    match chain with
+    | `Taken -> from.chain_taken <- Some next_entry
+    | `Fall -> from.chain_fall <- Some next_entry
+    | `Unchained -> ()
 
 (* Every block entry — dispatch hit, fill install, or chained transfer —
    funnels through here, so this is where dispatch-time integrity
@@ -568,8 +518,8 @@ and enter t next_entry =
       t.t_local <- t.t_local + t.cfg.Config.checksum_cycles;
       let target = next_entry.Code_cache.L1.block.Block.guest_addr in
       Code_cache.L1.flush t.l1;
-      t.entry <- None;
-      dispatch t ~chain_slot:None target
+      t.entry <- no_entry;
+      dispatch t ~chain:`Unchained target
     end
     else begin
       (* Unprotected configuration: the corruption goes unnoticed. The
@@ -581,7 +531,7 @@ and enter t next_entry =
   else enter_unchecked t next_entry
 
 and enter_unchecked t next_entry =
-  t.entry <- Some next_entry;
+  t.entry <- next_entry;
   t.pc <- 0;
   t.guest_insns <- t.guest_insns + next_entry.block.guest_insns;
   Stats.bump t.k.c_blocks;
@@ -616,25 +566,116 @@ and do_syscall t next =
                     t.regs.(Translate.guest_pin EAX) <- v land 0xFFFFFFFF;
                     t.ready_at.(Translate.guest_pin EAX) <- t.t_local;
                     t.wait <- Running;
-                    dispatch t ~chain_slot:None next)) })
+                    dispatch t ~chain:`Unchained next)) })
 
 and wake t =
   match t.wait with
-  | Wait_reg (r, pc) when not t.pending.(r) ->
+  | Wait_reg when not t.pending.(t.wait_reg) ->
     let now = Event_queue.now t.q in
     if now > t.t_local then t.t_local <- now;
+    let r = t.wait_reg in
     if t.ready_at.(r) > t.t_local then t.t_local <- t.ready_at.(r);
-    t.pc <- pc;
+    t.pc <- t.wait_pc;
     t.wait <- Running;
     step t
-  | Wait_capacity pc when t.outstanding < t.cfg.Config.max_outstanding ->
+  | Wait_capacity when t.outstanding < t.cfg.Config.max_outstanding ->
     let now = Event_queue.now t.q in
     if now > t.t_local then t.t_local <- now;
-    t.pc <- pc;
+    t.pc <- t.wait_pc;
     t.wait <- Running;
     step t
-  | Running | Wait_reg _ | Wait_capacity _ | Wait_fill | Wait_syscall
-  | Finished -> ()
+  | Running | Wait_reg | Wait_capacity | Wait_fill | Wait_syscall | Finished ->
+    ()
+
+let create q stats cfg layout prog ~manager ~memsys ?input
+    ?(trace = Tr.disabled) () =
+  let regs = Array.make 32 0 in
+  regs.(Translate.guest_pin ESP) <- prog.Program.initial_esp;
+  regs.(Regalloc.scratch_base_reg) <- scratch_base;
+  let world = Syscall.create_world ?input ~brk0:prog.Program.brk0 () in
+  let exec_track = Tr.track trace "exec" in
+  let fill_track = Tr.track trace "exec.fill" in
+  let syscall_svc =
+    Service.create ~trace q ~name:"syscall"
+      ~serve:(fun { s_eax; s_ebx; s_ecx; s_edx; s_reply } ->
+        let occupancy =
+          cfg.Config.syscall_base_cycles
+          + (if s_eax = Syscall.sys_write || s_eax = Syscall.sys_read then
+               cfg.Config.syscall_per_byte_cycles * (s_edx land 0xFFFF)
+             else 0)
+        in
+        ( occupancy,
+          fun () ->
+            let result =
+              Syscall.dispatch world prog.Program.mem ~eax:s_eax ~ebx:s_ebx
+                ~ecx:s_ecx ~edx:s_edx
+            in
+            s_reply result ))
+  in
+  let t =
+    { q;
+      stats;
+      k =
+        { c_scoreboard_suspends = Stats.counter stats "exec.scoreboard_suspends";
+          c_stall_cycles = Stats.counter stats "exec.stall_cycles";
+          c_capacity_suspends = Stats.counter stats "exec.capacity_suspends";
+          c_l1d_loads = Stats.counter stats "l1d.loads";
+          c_l1d_load_misses = Stats.counter stats "l1d.load_misses";
+          c_l1d_stores = Stats.counter stats "l1d.stores";
+          c_l1d_store_misses = Stats.counter stats "l1d.store_misses";
+          c_l1d_writebacks = Stats.counter stats "l1d.writebacks";
+          c_smc_invalidations = Stats.counter stats "smc.invalidations";
+          c_indirect_transfers = Stats.counter stats "exec.indirect_transfers";
+          c_chained_transfers = Stats.counter stats "exec.chained_transfers";
+          c_dispatches = Stats.counter stats "exec.dispatches";
+          c_l1code_hits = Stats.counter stats "l1code.hits";
+          c_l1code_misses = Stats.counter stats "l1code.misses";
+          c_l1code_installs = Stats.counter stats "l1code.installs";
+          c_blocks = Stats.counter stats "exec.blocks";
+          c_syscalls = Stats.counter stats "exec.syscalls";
+          c_l1code_corrupt = Stats.counter stats "corrupt.l1code_detected";
+          c_silent_corruptions = Stats.counter stats "corrupt.silent" };
+      pb =
+        { p_dispatch = Tr.emitter trace ~track:exec_track Tr.Block_dispatch;
+          p_chain = Tr.emitter trace ~track:exec_track Tr.Block_chain;
+          p_l1_hit = Tr.emitter trace ~track:exec_track Tr.Cache_hit;
+          p_l1_miss = Tr.emitter trace ~track:exec_track Tr.Cache_miss;
+          p_l1_install = Tr.emitter trace ~track:exec_track Tr.Cache_install;
+          p_fill_begin = Tr.emitter trace ~track:fill_track Tr.Fill_begin;
+          p_fill_end = Tr.emitter trace ~track:fill_track Tr.Fill_end };
+      cfg;
+      layout;
+      prog;
+      manager;
+      memsys;
+      world;
+      regs;
+      scratch = Array.make 4096 0;
+      ready_at = Array.make 32 0;
+      pending = Array.make 32 false;
+      miss_replies = Array.make 32 ignore;
+      l1 = Code_cache.L1.create ~capacity:cfg.Config.l1_code_bytes;
+      l1d =
+        Cache.create ~name:"l1d" ~size_bytes:cfg.Config.l1d_bytes
+          ~ways:cfg.Config.l1d_ways ~line_bytes:cfg.Config.line_bytes;
+      syscall_svc;
+      pending_mask = 0;
+      t_local = 0;
+      outstanding = 0;
+      entry = no_entry;
+      pc = 0;
+      wait = Running;
+      wait_reg = 0;
+      wait_pc = 0;
+      fuel = max_int;
+      guest_insns = 0;
+      outcome = None;
+      on_finish = ignore }
+  in
+  for rd = 0 to Array.length t.miss_replies - 1 do
+    t.miss_replies.(rd) <- (fun () -> miss_reply t rd)
+  done;
+  t
 
 (* The execution tile cannot lose its engine, and a syscall proxy that
    dies or drops requests can swallow an exit in flight: both are
@@ -669,15 +710,12 @@ let capture t =
   Wr.int w t.pending_mask;
   Wr.int w t.t_local;
   Wr.int w t.outstanding;
-  Wr.int w
-    (match t.entry with
-     | Some e -> e.Code_cache.L1.block.Block.guest_addr
-     | None -> -1);
+  Wr.int w t.entry.block.guest_addr;
   Wr.int w t.pc;
   (match t.wait with
    | Running -> Wr.int_list w [ 0; 0; 0 ]
-   | Wait_reg (r, pc) -> Wr.int_list w [ 1; r; pc ]
-   | Wait_capacity pc -> Wr.int_list w [ 2; pc; 0 ]
+   | Wait_reg -> Wr.int_list w [ 1; t.wait_reg; t.wait_pc ]
+   | Wait_capacity -> Wr.int_list w [ 2; t.wait_pc; 0 ]
    | Wait_fill -> Wr.int_list w [ 3; 0; 0 ]
    | Wait_syscall -> Wr.int_list w [ 4; 0; 0 ]
    | Finished -> Wr.int_list w [ 5; 0; 0 ]);

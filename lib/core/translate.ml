@@ -894,7 +894,11 @@ let translate_memo ?memo cfg ~fetch ~page_gen ~guest_addr :
     (block, page_gens ~page_gen block)
   | Some (m : Memo.t) ->
     let key = Memo.key_of cfg ~guest_addr in
-    let cached = Mutex.protect m.lock (fun () -> Hashtbl.find_opt m.tbl key) in
+    (* Lock and unlock by hand: [find_opt] cannot raise, and a
+       [Mutex.protect] closure would be allocated on every lookup. *)
+    Mutex.lock m.lock;
+    let cached = Hashtbl.find_opt m.tbl key in
+    Mutex.unlock m.lock;
     (match cached with
      | Some e when Memo.unchanged ~fetch e ->
        Atomic.incr m.hits;

@@ -2,10 +2,11 @@ type t = (string, int ref) Hashtbl.t
 
 let create () : t = Hashtbl.create 64
 
+(* [find] rather than [find_opt]: bumping an existing counter by name
+   allocates no option. *)
 let cell t name =
-  match Hashtbl.find_opt t name with
-  | Some r -> r
-  | None ->
+  try Hashtbl.find t name
+  with Not_found ->
     let r = ref 0 in
     Hashtbl.add t name r;
     r

@@ -40,27 +40,30 @@ type parity = Parity_ok | Corrected | Uncorrectable
 
 type result = { hit : bool; writeback : int option; parity : parity }
 
-let set_and_tag t addr =
-  let line = addr / t.line_bytes in
-  (line mod t.sets, line / t.sets)
-
 let slot t set way = (set * t.ways) + way
 
-let find_way t set tag =
-  let rec go way =
-    if way >= t.ways then None
-    else if t.tags.(slot t set way) = tag then Some way
-    else go (way + 1)
-  in
-  go 0
+(* Way holding [tag] in [set], or -1. Top-level and over plain ints so a
+   lookup allocates nothing (a local [go] would be a closure per call). *)
+let rec find_way_from t set tag way =
+  if way >= t.ways then -1
+  else if t.tags.(slot t set way) = tag then way
+  else find_way_from t set tag (way + 1)
+
+let find_way t set tag = find_way_from t set tag 0
 
 let line_addr t set tag = ((tag * t.sets) + set) * t.line_bytes
 
+(* The two common outcomes, shared: a clean hit or a clean miss with no
+   writeback allocates nothing. *)
+let clean_hit = { hit = true; writeback = None; parity = Parity_ok }
+let clean_miss = { hit = false; writeback = None; parity = Parity_ok }
+
 let access t ~addr ~write =
-  let set, tag = set_and_tag t addr in
+  let line = addr / t.line_bytes in
+  let set = line mod t.sets and tag = line / t.sets in
   t.tick <- t.tick + 1;
-  match find_way t set tag with
-  | Some way ->
+  let way = find_way t set tag in
+  if way >= 0 then begin
     t.hits <- t.hits + 1;
     let s = slot t set way in
     t.lru.(s) <- t.tick;
@@ -77,8 +80,10 @@ let access t ~addr ~write =
       end
     in
     if write && parity <> Uncorrectable then t.dirty.(s) <- true;
-    { hit = true; writeback = None; parity }
-  | None ->
+    if parity = Parity_ok then clean_hit
+    else { hit = true; writeback = None; parity }
+  end
+  else begin
     t.misses <- t.misses + 1;
     (* Choose victim: invalid way if any, else least recently used. *)
     let victim = ref 0 in
@@ -95,26 +100,28 @@ let access t ~addr ~write =
       end
     done;
     let s = slot t set !victim in
-    let writeback =
-      if t.tags.(s) <> -1 && t.dirty.(s) then Some (line_addr t set t.tags.(s))
-      else None
-    in
+    let dirty_victim = t.tags.(s) <> -1 && t.dirty.(s) in
+    let writeback = if dirty_victim then line_addr t set t.tags.(s) else -1 in
     (* A corrupt dirty victim would write garbage back to DRAM: that is an
        uncorrectable loss, detected by parity at eviction. A corrupt clean
        victim is simply discarded (scrubbed by the replacement). *)
     let parity =
-      if t.corrupt.(s) && t.dirty.(s) && t.tags.(s) <> -1 then Uncorrectable
-      else Parity_ok
+      if t.corrupt.(s) && dirty_victim then Uncorrectable else Parity_ok
     in
     t.corrupt.(s) <- false;
     t.tags.(s) <- tag;
     t.lru.(s) <- t.tick;
     t.dirty.(s) <- write;
-    { hit = false; writeback; parity }
+    if writeback < 0 && parity = Parity_ok then clean_miss
+    else
+      { hit = false;
+        writeback = (if writeback < 0 then None else Some writeback);
+        parity }
+  end
 
 let probe t ~addr =
-  let set, tag = set_and_tag t addr in
-  find_way t set tag <> None
+  let line = addr / t.line_bytes in
+  find_way t (line mod t.sets) (line / t.sets) >= 0
 
 let dirty_lines t =
   let n = ref 0 in
