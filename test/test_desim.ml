@@ -195,6 +195,53 @@ let prop_shuffle_permutation =
       Rng.shuffle rng arr;
       List.sort compare (Array.to_list arr) = List.sort compare xs)
 
+(* Random interleavings of [schedule] (ties in [at], enough of them to
+   grow the heap past its initial 64 slots) and [step]: events fire in
+   (time, insertion) order, as a sorted reference list says. *)
+let prop_queue_order =
+  QCheck.Test.make ~name:"event queue: (time, insertion) order" ~count:200
+    QCheck.(list_of_size Gen.(int_range 0 400) (option (int_bound 4)))
+    (fun ops ->
+      let q = Event_queue.create () in
+      let fired = ref [] and expected = ref [] in
+      let pending = ref [] and next_id = ref 0 in
+      List.iter
+        (function
+          | Some delay ->
+            let at = Event_queue.now q + delay and id = !next_id in
+            incr next_id;
+            pending := (at, id) :: !pending;
+            Event_queue.schedule q ~at (fun () -> fired := id :: !fired)
+          | None ->
+            (match List.sort compare !pending with
+             | (_, id) :: rest ->
+               pending := rest;
+               expected := id :: !expected
+             | [] -> ());
+            ignore (Event_queue.step q))
+        ops;
+      Event_queue.run q;
+      List.rev !fired
+      = List.rev_append !expected (List.map snd (List.sort compare !pending)))
+
+(* Scheduling and firing a preallocated action on a heap that has already
+   grown allocates nothing. *)
+let schedule_step_allocates_nothing =
+  let q = Event_queue.create () in
+  for _ = 1 to 100 do
+    Event_queue.schedule q ~at:max_int ignore
+  done;
+  let action () = () in
+  Alloc.zero_alloc "schedule and step allocate nothing" (fun () ->
+      Event_queue.schedule q ~at:(Event_queue.now q) action;
+      ignore (Event_queue.step q))
+
+let incr_allocates_nothing =
+  let s = Stats.create () in
+  Stats.incr s "present";
+  Alloc.zero_alloc "incr on an existing name allocates nothing" (fun () ->
+      Stats.incr s "present")
+
 let suite =
   let quick name f = Alcotest.test_case name `Quick f in
   [ quick "event ordering" test_ordering;
@@ -213,3 +260,5 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_pool_matches_sequential; prop_rng_bounds; prop_rng_deterministic;
         prop_shuffle_permutation ]
+  @ [ QCheck_alcotest.to_alcotest prop_queue_order;
+      schedule_step_allocates_nothing; incr_allocates_nothing ]

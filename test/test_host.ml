@@ -163,6 +163,39 @@ let test_run_block () =
   | Hexec.Fell_through -> Alcotest.(check int) "sum 5..1" 15 regs.(2)
   | _ -> Alcotest.fail "expected fall through"
 
+(* One [Hexec.step] per call on a register file of live values: the ALU,
+   shift, widening-multiply and divide paths allocate nothing. *)
+let step_allocates_nothing name insn =
+  let regs = Array.init 32 (fun r -> (r * 0x01010101) land 0xFFFFFFF) in
+  regs.(Hinsn.guest_reg_base + 2) <- 0;  (* EDX: quotients fit *)
+  Alloc.zero_alloc ("step allocates nothing: " ^ name) (fun () ->
+      ignore (Hexec.step ~regs ~mem:no_mem insn))
+
+(* Unsigned [Div64] against 64-bit division: quotient and remainder when
+   the quotient fits 32 bits, [Divide_overflow] otherwise. *)
+let prop_udiv64_matches_int64 =
+  let u32 = QCheck.map (fun (a, b) -> (a lsl 16) lxor b)
+      QCheck.(pair (int_bound 0xFFFF) (int_bound 0xFFFF)) in
+  QCheck.Test.make ~name:"unsigned div64 matches Int64 division" ~count:2000
+    QCheck.(triple u32 u32 u32)
+    (fun (hi, lo, d) ->
+      let d = max 1 d and hi = if hi land 1 = 0 then hi mod (max 1 d) else hi in
+      let regs = Array.make 32 0 in
+      let eax = Hinsn.guest_reg_base and edx = Hinsn.guest_reg_base + 2 in
+      regs.(eax) <- lo;
+      regs.(edx) <- hi;
+      regs.(5) <- d;
+      let dividend = Int64.(logor (shift_left (of_int hi) 32) (of_int lo)) in
+      let q = Int64.unsigned_div dividend (Int64.of_int d) in
+      match Hexec.step ~regs ~mem:no_mem (Div64 { divisor = 5; signed = false }) with
+      | Hexec.Next ->
+        Int64.unsigned_compare q 0xFFFFFFFFL <= 0
+        && regs.(eax) = Int64.to_int q
+        && regs.(edx)
+           = Int64.to_int (Int64.unsigned_rem dividend (Int64.of_int d))
+      | Hexec.Trapped Divide_overflow -> Int64.unsigned_compare q 0xFFFFFFFFL > 0
+      | Hexec.Trapped Divide_error | Hexec.Goto _ -> false)
+
 let suite =
   [ Alcotest.test_case "ext/ins semantics" `Quick test_ext_ins;
     Alcotest.test_case "r0 hardwired to zero" `Quick test_r0_hardwired;
@@ -171,3 +204,12 @@ let suite =
     Alcotest.test_case "block runner" `Quick test_run_block ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_roundtrip; prop_vreg_rejected; prop_shift_masks_count ]
+  @ [ step_allocates_nothing "Alu3" (Hinsn.Alu3 (Mulh, 3, 4, 5));
+      step_allocates_nothing "Alui" (Hinsn.Alui (Addi, 3, 4, -7));
+      step_allocates_nothing "Shifti" (Hinsn.Shifti (Sra, 3, 4, 5));
+      step_allocates_nothing "Mul64" (Hinsn.Mul64 5);
+      step_allocates_nothing "Div64 signed"
+        (Hinsn.Div64 { divisor = 5; signed = true });
+      step_allocates_nothing "Div64 unsigned"
+        (Hinsn.Div64 { divisor = 5; signed = false });
+      QCheck_alcotest.to_alcotest prop_udiv64_matches_int64 ]

@@ -238,6 +238,23 @@ let test_parallel_golden () =
       check_fp (Printf.sprintf "cell %d (%s)" i name) s p)
     (List.combine seq par)
 
+(* A warm run (every translation a memo hit) of gzip allocates under 4
+   minor words per guest instruction, machine set-up included: the engine,
+   caches, event queue and tile services allocate nothing per step, and
+   what is left is each message's event closure and request record. The
+   simulator allocated about 52 before they were made allocation-free. *)
+let test_warm_run_allocation () =
+  if not Alloc.native then Alcotest.skip ();
+  let memo = Translate.Memo.create () in
+  ignore (run_bench ~memo "gzip" Config.default);
+  let program = Suite.load (Suite.find "gzip") in
+  let before = Gc.minor_words () in
+  let r = Vm.run ~memo ~fuel:50_000_000 Config.default program in
+  let words = (Gc.minor_words () -. before) /. float_of_int r.guest_insns in
+  if words >= 4.0 then
+    Alcotest.failf "warm gzip run: %.2f minor words per guest insn (ceiling 4)"
+      words
+
 let suite =
   let quick name f = Alcotest.test_case name `Quick f in
   [ quick "rerun in one process is identical" test_rerun_identical;
@@ -247,4 +264,5 @@ let suite =
     quick "memo: SMC misses, off-block store hits" test_memo_smc;
     quick "memo: fetch faults are part of the check" test_memo_fault_edge;
     quick "memo: superblock jump past the image" test_memo_superblock_gap;
-    quick "parallel sweep equals sequential" test_parallel_golden ]
+    quick "parallel sweep equals sequential" test_parallel_golden;
+    quick "warm run allocation ceiling" test_warm_run_allocation ]
