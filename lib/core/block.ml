@@ -45,6 +45,11 @@ let make ~guest_addr ~guest_len ~guest_insns ~code ~term ~optimized
     checksum = checksum_of ~guest_addr ~code ~term;
     masks = Array.map (fun i -> Hinsn.use_mask i lor (Hinsn.def_mask i lsl 31)) code }
 
+let none =
+  make ~guest_addr:(-1) ~guest_len:0 ~guest_insns:0 ~code:[||]
+    ~term:(T_fault "no block") ~optimized:false ~translation_cycles:0
+    ~page_lo:0 ~page_hi:(-1)
+
 (* Registers are r0-r31 and masks never hold r0, so a use mask takes bits
    1-31 of a [masks] entry and the def mask, shifted up by 31, bits 32-62. *)
 let use_bits m = m land 0xFFFF_FFFF

@@ -61,6 +61,10 @@ val make :
     the content, so no copy can carry masks or a sum of other code.
     [code] must be allocated (hardware registers only). *)
 
+val none : t
+(** An empty block at address -1 covering no page: the placeholder where a
+    structure needs a block but holds none. It is never run. *)
+
 val use_bits : int -> int
 val def_bits : int -> int
 (** The use and def masks of one [masks] entry. *)

@@ -96,15 +96,23 @@ module L1 = struct
 end
 
 module L15 = struct
+  (* The slots are threaded on a circular doubly linked list through the
+     sentinel [lru], in [last_use] order: [lru.next] is the least recently
+     used slot and [lru.prev] the most recent. Every stamp comes from a
+     fresh [tick] and moves its slot to the tail, so the head is the slot
+     with the smallest stamp, and eviction takes it without a scan. *)
   type slot = {
     block : Block.t;
     mutable stored_sum : int;
     mutable last_use : int;
+    mutable prev : slot;
+    mutable next : slot;
   }
 
   type t = {
     capacity : int;
     table : (int, slot) Hashtbl.t;
+    lru : slot;
     mutable used : int;
     mutable tick : int;
     mutable hits : int;
@@ -112,53 +120,61 @@ module L15 = struct
   }
 
   let create ~capacity =
-    { capacity; table = Hashtbl.create 256; used = 0; tick = 0; hits = 0;
+    let rec lru =
+      { block = Block.none; stored_sum = 0; last_use = 0; prev = lru;
+        next = lru }
+    in
+    { capacity; table = Hashtbl.create 256; lru; used = 0; tick = 0; hits = 0;
       misses = 0 }
+
+  let unlink s =
+    s.prev.next <- s.next;
+    s.next.prev <- s.prev
+
+  let append t s =
+    s.prev <- t.lru.prev;
+    s.next <- t.lru;
+    t.lru.prev.next <- s;
+    t.lru.prev <- s
+
+  let drop t s =
+    unlink s;
+    Hashtbl.remove t.table s.block.guest_addr;
+    t.used <- t.used - Block.size_bytes s.block
 
   let find t addr =
     t.tick <- t.tick + 1;
-    match Hashtbl.find_opt t.table addr with
-    | Some slot ->
+    match Hashtbl.find t.table addr with
+    | slot ->
       slot.last_use <- t.tick;
+      unlink slot;
+      append t slot;
       t.hits <- t.hits + 1;
       Some (slot.block, slot.stored_sum)
-    | None ->
+    | exception Not_found ->
       t.misses <- t.misses + 1;
       None
 
-  let evict_one t =
-    let victim = ref None in
-    Hashtbl.iter
-      (fun addr slot ->
-        match !victim with
-        | Some (_, s) when s.last_use <= slot.last_use -> ()
-        | _ -> victim := Some (addr, slot))
-      t.table;
-    match !victim with
-    | Some (addr, slot) ->
-      Hashtbl.remove t.table addr;
-      t.used <- t.used - Block.size_bytes slot.block
-    | None -> ()
-
   let remove t addr =
-    match Hashtbl.find_opt t.table addr with
-    | None -> ()
-    | Some slot ->
-      Hashtbl.remove t.table addr;
-      t.used <- t.used - Block.size_bytes slot.block
+    match Hashtbl.find t.table addr with
+    | slot -> drop t slot
+    | exception Not_found -> ()
 
   let install ?sum t (block : Block.t) =
     let size = Block.size_bytes block in
     if size > t.capacity then ()
     else begin
       remove t block.guest_addr;
-      while t.used + size > t.capacity && Hashtbl.length t.table > 0 do
-        evict_one t
+      while t.used + size > t.capacity && t.lru.next != t.lru do
+        drop t t.lru.next
       done;
       t.tick <- t.tick + 1;
       let stored_sum = Option.value ~default:block.checksum sum in
-      Hashtbl.replace t.table block.guest_addr
-        { block; stored_sum; last_use = t.tick };
+      let slot =
+        { block; stored_sum; last_use = t.tick; prev = t.lru; next = t.lru }
+      in
+      Hashtbl.replace t.table block.guest_addr slot;
+      append t slot;
       t.used <- t.used + size
     end
 
@@ -171,17 +187,14 @@ module L15 = struct
       true
 
   let drop_page t page =
-    let doomed = ref [] in
-    Hashtbl.iter
-      (fun addr slot ->
-        if slot.block.page_lo <= page && page <= slot.block.page_hi then
-          doomed := (addr, slot) :: !doomed)
-      t.table;
-    List.iter
-      (fun (addr, slot) ->
-        Hashtbl.remove t.table addr;
-        t.used <- t.used - Block.size_bytes slot.block)
-      !doomed
+    let rec go s =
+      if s != t.lru then begin
+        let next = s.next in
+        if s.block.page_lo <= page && page <= s.block.page_hi then drop t s;
+        go next
+      end
+    in
+    go t.lru.next
 
   let hits t = t.hits
   let misses t = t.misses

@@ -6,7 +6,9 @@
       links live here because only L1-resident code has a known absolute
       position.
     - {!L15}: a banked on-chip victim store of translated blocks (one or
-      two tiles); LRU within each bank; no chaining.
+      two tiles); LRU within each bank, kept as a doubly linked list in
+      recency order, so a hit, an install, a removal and an eviction each
+      take constant time; no chaining.
     - {!L2}: the manager tile's main-memory code cache (paper: 105 MB in
       off-chip DRAM), plus the translated-page registry used to detect
       self-modifying code.
@@ -57,7 +59,8 @@ module L15 : sig
   (** The resident block and its stored sum. *)
 
   val install : ?sum:int -> t -> Block.t -> unit
-  (** Evicts least-recently-used blocks until the new one fits. [sum]
+  (** Evicts least-recently-used blocks until the new one fits: the head
+      of the recency list, which is the block with the oldest stamp. [sum]
       defaults to the block's translation-time checksum; a corrupted
       delivery installs its (bad) transmitted sum, to be caught on the
       next lookup. *)

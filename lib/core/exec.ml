@@ -201,12 +201,8 @@ let ctz m =
    flushed: an empty block at address -1. The engine never runs it (every
    path that steps sets a real entry first) and never chains from it. *)
 let no_entry : Code_cache.L1.entry =
-  let block =
-    Block.make ~guest_addr:(-1) ~guest_len:0 ~guest_insns:0 ~code:[||]
-      ~term:(Block.T_fault "no block") ~optimized:false ~translation_cycles:0
-      ~page_lo:0 ~page_hi:(-1)
-  in
-  { block; stored_sum = block.checksum; chain_taken = None; chain_fall = None }
+  { block = Block.none; stored_sum = Block.none.checksum; chain_taken = None;
+    chain_fall = None }
 
 type chain = [ `Taken | `Fall | `Unchained ]
 

@@ -11,7 +11,8 @@ type t = {
   queues : int Queue.t array; (* by priority, 0 = most urgent *)
   status : (int, status) Hashtbl.t;
   depth : (int, int) Hashtbl.t;
-  mutable queued_count : int;
+  mutable queued_count : int; (* queue entries, stale promotions included *)
+  mutable waiting : int; (* addresses whose status is [Queued _] *)
 }
 
 let priorities = 4
@@ -22,7 +23,8 @@ let create cfg stats =
     queues = Array.init priorities (fun _ -> Queue.create ());
     status = Hashtbl.create 1024;
     depth = Hashtbl.create 1024;
-    queued_count = 0 }
+    queued_count = 0;
+    waiting = 0 }
 
 let priority_of_depth t d =
   if not t.cfg.Config.priority_queues then 0
@@ -33,9 +35,18 @@ let priority_of_depth t d =
 
 let depth_of t addr = Option.value ~default:0 (Hashtbl.find_opt t.depth addr)
 
+(* Status changes keep [waiting] exact. The lookups go through
+   [Hashtbl.find] so that they allocate nothing. *)
+let is_queued t addr =
+  match Hashtbl.find t.status addr with
+  | Queued _ -> true
+  | In_flight | Done -> false
+  | exception Not_found -> false
+
 let push t addr prio =
   Queue.push addr t.queues.(prio);
   t.queued_count <- t.queued_count + 1;
+  if not (is_queued t addr) then t.waiting <- t.waiting + 1;
   Hashtbl.replace t.status addr (Queued prio);
   Stats.set_max t.stats "spec.max_queue_length" t.queued_count
 
@@ -93,9 +104,14 @@ let note_block_translated t (block : Block.t) =
     | T_jind { kind = K_jump | K_ret } | T_fault _ -> ()
   end
 
-let mark_done t addr = Hashtbl.replace t.status addr Done
+let unqueue t addr = if is_queued t addr then t.waiting <- t.waiting - 1
+
+let mark_done t addr =
+  unqueue t addr;
+  Hashtbl.replace t.status addr Done
 
 let forget t addr =
+  unqueue t addr;
   Hashtbl.remove t.status addr;
   Hashtbl.remove t.depth addr
 
@@ -121,6 +137,7 @@ let rec pop_queue t prio =
       t.queued_count <- t.queued_count - 1;
       match Hashtbl.find_opt t.status addr with
       | Some (Queued live_prio) when live_prio = prio ->
+        t.waiting <- t.waiting - 1;
         Hashtbl.replace t.status addr In_flight;
         Some addr
       | Some (Queued _ | In_flight | Done) | None ->
@@ -130,13 +147,7 @@ let rec pop_queue t prio =
 
 let pop t = pop_queue t 0
 
-let queue_length t =
-  (* Count live queued entries (stale promoted duplicates excluded). *)
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun _ s -> match s with Queued _ -> incr n | In_flight | Done -> ())
-    t.status;
-  !n
+let queue_length t = t.waiting
 
 (* Checkpoint digest: the hashtables are combined commutatively (their
    iteration order depends on insertion history), the queues in FIFO

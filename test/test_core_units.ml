@@ -198,6 +198,132 @@ let test_cpi_monotone () =
   in
   if not (cpi 0.5 > cpi 0.1) then Alcotest.fail "CPI not monotone in miss rate"
 
+(* --- Constant-time bookkeeping against scanning references ------------- *)
+
+(* Random operations on eight addresses. [queue_length] is kept as a
+   count: it must lower by exactly one on every successful [pop] and, at
+   the end, equal the number of addresses [pop] still returns. An op is
+   (kind, a, b, c): kinds 2-4 translate a block at [a] whose terminator
+   names [b] and [c]; the others act on [a]. *)
+let prop_spec_queue_length =
+  QCheck.Test.make ~name:"spec: queue_length counts what pop returns"
+    ~count:500
+    QCheck.(
+      list_of_size Gen.(int_range 0 60)
+        (quad (int_bound 8) (int_bound 7) (int_bound 7) (int_bound 7)))
+    (fun ops ->
+      let s = mk_spec () in
+      let addr k = 0x1000 + (k * 0x40) in
+      let popped_one () =
+        let before = Spec.queue_length s in
+        match Spec.pop s with
+        | Some _ ->
+          if Spec.queue_length s <> before - 1 then
+            QCheck.Test.fail_reportf "pop took %d to %d" before
+              (Spec.queue_length s);
+          true
+        | None -> false
+      in
+      let translated a term =
+        Spec.note_block_translated s (dummy_block ~addr:(addr a) ~term ())
+      in
+      List.iter
+        (fun (kind, a, b, c) ->
+          match kind with
+          | 0 -> Spec.seed s (addr a)
+          | 1 -> Spec.request_demand s (addr a)
+          | 2 -> translated a (Block.T_jmp { target = addr b })
+          | 3 -> translated a (Block.T_jcc { taken = addr b; fall = addr c })
+          | 4 -> translated a (Block.T_call { target = addr b; ret = addr c })
+          | 5 -> ignore (popped_one ())
+          | 6 -> Spec.mark_done s (addr a)
+          | 7 -> Spec.forget s (addr a)
+          | _ -> Spec.forget_done s (addr a))
+        ops;
+      let waiting = Spec.queue_length s in
+      let rec drain n = if popped_one () then drain (n + 1) else n in
+      let popped = drain 0 in
+      if popped <> waiting then
+        QCheck.Test.fail_reportf "queue_length %d but %d pops" waiting popped;
+      Spec.queue_length s = 0)
+
+(* Random installs, finds, removals and page drops on a small L1.5 bank,
+   against a list of (addr, size, stamp) that evicts the smallest stamp by
+   scanning: every lookup and the hit and miss counts agree. Eight
+   addresses share four pages; an op is (kind, address, host insns), and
+   some blocks are too large to cache at all. *)
+let prop_l15_victims =
+  QCheck.Test.make ~name:"L1.5: victims match a scanning LRU" ~count:500
+    QCheck.(
+      list_of_size Gen.(int_range 0 80)
+        (triple (int_bound 3) (int_bound 7) (int_range 1 110)))
+    (fun ops ->
+      let capacity = 400 in
+      let l15 = Code_cache.L15.create ~capacity in
+      let resident = ref [] and tick = ref 0 and hits = ref 0
+      and misses = ref 0 in
+      let used () = List.fold_left (fun n (_, size, _) -> n + size) 0 !resident in
+      let drop addr = resident := List.filter (fun (a, _, _) -> a <> addr) !resident in
+      let addr k = 0x1000 + (k / 2 * 0x1000) + (k mod 2 * 0x800) in
+      List.iter
+        (fun (kind, k, host_insns) ->
+          let a = addr k in
+          (match kind with
+           | 0 ->
+             let block = dummy_block ~addr:a ~host_insns () in
+             let size = Block.size_bytes block in
+             Code_cache.L15.install l15 block;
+             if size <= capacity then begin
+               drop a;
+               while used () + size > capacity && !resident <> [] do
+                 let victim, _, _ =
+                   List.fold_left
+                     (fun ((_, _, t0) as o) ((_, _, t1) as e) ->
+                       if t1 < t0 then e else o)
+                     (List.hd !resident) !resident
+                 in
+                 drop victim
+               done;
+               incr tick;
+               resident := (a, size, !tick) :: !resident
+             end
+           | 1 ->
+             incr tick;
+             let expected =
+               match List.find_opt (fun (a', _, _) -> a' = a) !resident with
+               | Some (_, size, _) ->
+                 incr hits;
+                 drop a;
+                 resident := (a, size, !tick) :: !resident;
+                 Some (a, size)
+               | None ->
+                 incr misses;
+                 None
+             in
+             let got =
+               Option.map
+                 (fun ((b : Block.t), _) -> (b.guest_addr, Block.size_bytes b))
+                 (Code_cache.L15.find l15 a)
+             in
+             if got <> expected then
+               QCheck.Test.fail_reportf "find 0x%x disagrees with the reference"
+                 a
+           | 2 ->
+             Code_cache.L15.remove l15 a;
+             drop a
+           | _ ->
+             let page = a / 4096 in
+             Code_cache.L15.drop_page l15 page;
+             resident := List.filter (fun (a', _, _) -> a' / 4096 <> page) !resident);
+          if Code_cache.L15.hits l15 <> !hits
+             || Code_cache.L15.misses l15 <> !misses
+          then QCheck.Test.fail_reportf "hit or miss count disagrees")
+        ops;
+      (* Every block the reference holds is still resident. *)
+      List.for_all
+        (fun (a, _, _) -> Code_cache.L15.find l15 a <> None)
+        !resident)
+
 let suite =
   [ Alcotest.test_case "L1: tight packing + flush" `Quick test_l1_tight_pack_flush;
     Alcotest.test_case "L1: chaining fields" `Quick test_l1_chaining_fields;
@@ -221,3 +347,5 @@ let suite =
     Alcotest.test_case "analysis: Figure 11 intrinsics" `Quick
       test_analysis_intrinsics_match_fig11;
     Alcotest.test_case "analysis: CPI monotone" `Quick test_cpi_monotone ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_spec_queue_length; prop_l15_victims ]
