@@ -103,7 +103,6 @@ type t = {
 let local_time t = t.t_local
 let guest_instructions t = t.guest_insns
 let output t = Syscall.output t.world
-let guest_reg t r = t.regs.(Translate.guest_pin r)
 
 let digest t =
   Interp.state_digest t.prog.Program.mem

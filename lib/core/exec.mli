@@ -71,7 +71,6 @@ val apply_fault :
 
 val guest_instructions : t -> int
 val output : t -> string
-val guest_reg : t -> Insn.reg -> int
 val digest : t -> int
 (** {!Vat_guest.Interp.state_digest} of the guest state, so comparable
     with {!Vat_guest.Interp.digest} and the tests' translated-semantics

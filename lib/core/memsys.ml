@@ -386,9 +386,6 @@ let apply_fault t (site : Fault.site) (kind : Fault.kind) ~salt ~allow_dirty =
   | (Exec | L15 | Manager | Syscall | Translator), _ ->
     invalid_arg "Memsys.apply_fault"
 
-let parity_events t =
-  Array.fold_left (fun acc c -> acc + Cache.parity_events c) 0 t.banks
-
 let bank_queue_total t =
   Array.fold_left (fun acc s -> acc + Service.queue_length s) 0 t.bank_services
 

@@ -100,9 +100,6 @@ val bank_corruptions : t -> int array
 (** Detected parity events per physical bank (what the quarantine monitor
     samples). *)
 
-val parity_events : t -> int
-(** Corrupt clean lines scrubbed across all banks. *)
-
 val bank_queue_total : t -> int
 
 val finalize : t -> unit
