@@ -422,19 +422,19 @@ let create ?memo ?(trace = Tr.disabled) q stats cfg layout ~fetch ~page_gen =
       drain_waiters = [];
       pr }
   in
-  t.mgr_service <- Some (Service.create ~trace q ~name:"manager" ~serve:(serve_mgr t));
-  Service.set_corrupt_handler (mgr t) (function
-    | Fill { addr; corrupt = _; reply } -> Fill { addr; corrupt = true; reply }
-    | Translated { seq; slave; block; sum; gens } ->
-      Translated { seq; slave; block; sum = sum lxor 0x1000; gens });
+  t.mgr_service <-
+    Some
+      (Service.create ~trace q ~name:"manager" ~serve:(serve_mgr t)
+         ~on_corrupt:(function
+           | Fill { addr; corrupt = _; reply } ->
+             Fill { addr; corrupt = true; reply }
+           | Translated { seq; slave; block; sum; gens } ->
+             Translated { seq; slave; block; sum = sum lxor 0x1000; gens }));
   t.l15_services <-
     Array.init n_l15 (fun i ->
-        Service.create ~trace q ~name:(l15_name i) ~serve:(serve_l15 t));
-  Array.iter
-    (fun svc ->
-      Service.set_reject_handler svc (reroute_l15 t);
-      Service.set_corrupt_handler svc (fun r -> { r with corrupt = true }))
-    t.l15_services;
+        Service.create ~trace q ~name:(l15_name i) ~serve:(serve_l15 t)
+          ~on_reject:(reroute_l15 t)
+          ~on_corrupt:(fun r -> { r with corrupt = true }));
   t
 
 let seed t addr =

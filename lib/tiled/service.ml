@@ -29,8 +29,8 @@ type 'req t = {
   mutable corrupted : int;
   mutable dup_budget : int;
   mutable duplicated : int;
-  mutable on_reject : ('req -> unit) option;
-  mutable on_corrupt : ('req -> 'req) option;
+  on_reject : 'req -> unit;
+  on_corrupt : ('req -> 'req) option;
   mutable max_queue : int;
   (* Trace probes on the service's own track: an untraced service pays
      one dead branch per event (see Vat_trace.Trace). *)
@@ -109,7 +109,8 @@ and complete t =
     notify_if_idle t
   end
 
-let create ?(trace = Vat_trace.Trace.disabled) q ~name ~serve =
+let create ?(trace = Vat_trace.Trace.disabled) ?(on_reject = ignore) ?on_corrupt
+    q ~name ~serve =
   let track = Vat_trace.Trace.track trace name in
   let probe kind = Vat_trace.Trace.emitter trace ~track kind in
   let t =
@@ -135,8 +136,8 @@ let create ?(trace = Vat_trace.Trace.disabled) q ~name ~serve =
       corrupted = 0;
       dup_budget = 0;
       duplicated = 0;
-      on_reject = None;
-      on_corrupt = None;
+      on_reject;
+      on_corrupt;
       max_queue = 0;
       pr_recv = probe Vat_trace.Trace.Msg_recv;
       pr_start = probe Vat_trace.Trace.Serve_begin;
@@ -162,7 +163,7 @@ let enqueue t req =
 let arrive t req =
   if t.failed then begin
     t.dropped <- t.dropped + 1;
-    match t.on_reject with Some f -> f req | None -> ()
+    t.on_reject req
   end
   else if t.drop_budget > 0 then begin
     (* Transient loss: the request vanishes in flight. *)
@@ -254,6 +255,3 @@ let inject t (kind : Fault.kind) =
 let dropped t = t.dropped
 let corrupted t = t.corrupted
 let duplicated t = t.duplicated
-
-let set_reject_handler t f = t.on_reject <- Some f
-let set_corrupt_handler t f = t.on_corrupt <- Some f

@@ -13,6 +13,8 @@ type 'req t
 
 val create :
   ?trace:Vat_trace.Trace.t ->
+  ?on_reject:('req -> unit) ->
+  ?on_corrupt:('req -> 'req) ->
   Event_queue.t ->
   name:string ->
   serve:('req -> int * (unit -> unit)) ->
@@ -21,7 +23,17 @@ val create :
     (default disabled) the service records on the track [name]:
     [Msg_recv] at each arrival (arg = queue length after enqueue),
     [Serve_begin] when a request enters service (arg = queue length),
-    [Serve_end] at completion (arg = occupancy). *)
+    [Serve_end] at completion (arg = occupancy).
+
+    The two fault hooks are fixed for the service's life:
+    - [on_reject] is called (at arrival time) for each request arriving
+      at a failed service; it lets an owner re-route traffic to
+      surviving tiles. Default: nothing.
+    - [on_corrupt] says how a corrupted request manifests: it returns
+      the bit-flipped version of the message (typically tagging it so a
+      downstream checksum verification fails), preserving the invariant
+      that corruption is {e detectable}, never silently absorbed.
+      Without it, a corrupted message is lost (see {!inject}). *)
 
 val submit : 'req t -> delay:int -> 'req -> unit
 (** Deliver a request after [delay] cycles (its network latency). *)
@@ -76,8 +88,8 @@ val inject : 'req t -> Fault.kind -> unit
       for the next [cycles] cycles (a degraded, not dead, tile);
       [factor <= 1] restores nominal speed.
     - [Corrupt_payload n]: the next [n] requests that arrive are
-      delivered through the owner's corrupt transformer (see
-      {!set_corrupt_handler}). Without one, a corrupted message is
+      delivered through the owner's [on_corrupt] transformer (see
+      {!create}). Without one, a corrupted message is
       undecodable and is silently lost (counted in {!dropped} and
       {!corrupted}); upper-layer deadlines recover it.
     - [Duplicate_delivery n]: the next [n] requests that arrive are
@@ -90,18 +102,8 @@ val dropped : _ t -> int
 (** Total requests lost to faults (queued at fail-stop, abandoned in
     service, rejected after failure, or transiently dropped). *)
 
-val set_reject_handler : 'req t -> ('req -> unit) -> unit
-(** Called (at arrival time) for each request arriving at a failed
-    service; lets an owner re-route traffic to surviving tiles. *)
-
 val corrupted : _ t -> int
 (** Requests hit by [Corrupt_payload] so far. *)
 
 val duplicated : _ t -> int
 (** Requests redelivered by [Duplicate_delivery] so far. *)
-
-val set_corrupt_handler : 'req t -> ('req -> 'req) -> unit
-(** How a corrupted request manifests: the transformer returns the
-    bit-flipped version of the message (typically tagging it so a
-    downstream checksum verification fails), preserving the invariant
-    that corruption is {e detectable}, never silently absorbed. *)

@@ -124,8 +124,8 @@ let test_plan_strings () =
 (* Service-level fault semantics                                       *)
 (* ------------------------------------------------------------------ *)
 
-let mk_service q completions =
-  Service.create q ~name:"s" ~serve:(fun id ->
+let mk_service ?on_reject q completions =
+  Service.create ?on_reject q ~name:"s" ~serve:(fun id ->
       (10, fun () -> completions := id :: !completions))
 
 let test_service_fail_stop () =
@@ -151,9 +151,10 @@ let test_service_fail_stop () =
 let test_service_reject_handler () =
   let q = Event_queue.create () in
   let completions = ref [] in
-  let svc = mk_service q completions in
   let rerouted = ref [] in
-  Service.set_reject_handler svc (fun id -> rerouted := id :: !rerouted);
+  let svc =
+    mk_service ~on_reject:(fun id -> rerouted := id :: !rerouted) q completions
+  in
   ignore (Service.fail svc);
   Service.submit svc ~delay:0 7;
   Service.submit svc ~delay:1 8;

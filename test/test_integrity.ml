@@ -124,15 +124,14 @@ let prop_random_prefix_stable =
 (* Service-level corruption semantics                                  *)
 (* ------------------------------------------------------------------ *)
 
-let mk_service q completions =
-  Service.create q ~name:"s" ~serve:(fun id ->
+let mk_service ?on_corrupt q completions =
+  Service.create ?on_corrupt q ~name:"s" ~serve:(fun id ->
       (10, fun () -> completions := id :: !completions))
 
 let test_service_corrupt_with_handler () =
   let q = Event_queue.create () in
   let completions = ref [] in
-  let svc = mk_service q completions in
-  Service.set_corrupt_handler svc (fun id -> id + 1000);
+  let svc = mk_service ~on_corrupt:(fun id -> id + 1000) q completions in
   Service.inject svc (Fault.Corrupt_payload 1);
   Service.submit svc ~delay:0 1;
   Service.submit svc ~delay:1 2;
