@@ -33,25 +33,94 @@ let memo_for (b : Suite.benchmark) =
     Hashtbl.add memos b.name m;
     m
 
-(* PIII reference cycles, computed once per benchmark. *)
-let piii_cache : (string, int) Hashtbl.t = Hashtbl.create 16
+(* ------------------------------------------------------------------ *)
+(* Simulation cells: the one path that runs a simulation               *)
+(* ------------------------------------------------------------------ *)
 
-let piii_cycles (b : Suite.benchmark) =
-  match Hashtbl.find_opt piii_cache b.name with
-  | Some c -> c
-  | None ->
-    let r = Vat_refmodel.Piii.run (Suite.load b) in
-    (match r.outcome with
-     | Vat_guest.Interp.Exited _ -> ()
-     | _ -> failwith (b.name ^ ": reference run did not exit"));
-    Hashtbl.replace piii_cache b.name r.cycles;
-    r.cycles
+(* Every figure is a render function over a set of independent
+   deterministic simulation cells, each computed once and cached so
+   figures sharing configurations (5/6/7, 9/10) reuse runs. [run_all]
+   normally prefills a figure's cells in parallel; a reader that misses
+   computes the same cell on the spot, with identical results. A cache
+   holds whatever its cell produced, a faulted run included: readers
+   check outcomes. *)
 
-(* VM results, memoized per (benchmark, config-key) so figures sharing
-   configurations (5/6/7, 9/10) reuse runs. Normally prefilled in
-   parallel by [run_all]; the compute-on-miss path below is the
-   sequential fallback and produces identical results. *)
+type run = {
+  rkey : string;
+  bench : Suite.benchmark;
+  cfg : Config.t;
+  cfaults : Fault.plan;
+  every : int option;  (* checkpoint interval *)
+}
+
+type cell =
+  | C_run of run
+  | C_piii of Suite.benchmark
+  | C_fabric of { pair : string * string; pname : string }
+
+let run_spec ?(faults = Fault.empty) ?every rkey bench cfg =
+  { rkey; bench; cfg; cfaults = faults; every }
+
 let run_cache : (string * string, Vm.result) Hashtbl.t = Hashtbl.create 64
+let piii_cache : (string, Vat_refmodel.Piii.result) Hashtbl.t = Hashtbl.create 16
+let fabric_cache : (string, Fabric.result) Hashtbl.t = Hashtbl.create 8
+
+let fabric_policies =
+  [ ("static", Fabric.Static (3, 3)); ("shared", Fabric.Shared { dwell = 20000 }) ]
+
+let fabric_key (na, nb) pname = na ^ "+" ^ nb ^ "/" ^ pname
+
+let cell_id = function
+  | C_run { rkey; bench; _ } -> bench.Suite.name ^ "/" ^ rkey
+  | C_piii b -> "piii/" ^ b.Suite.name
+  | C_fabric { pair; pname } -> "fabric/" ^ fabric_key pair pname
+
+let cell_cached = function
+  | C_run { rkey; bench; _ } -> Hashtbl.mem run_cache (bench.Suite.name, rkey)
+  | C_piii b -> Hashtbl.mem piii_cache b.Suite.name
+  | C_fabric { pair; pname } -> Hashtbl.mem fabric_cache (fabric_key pair pname)
+
+(* Build the worker task for a cell, on the main domain (memo handles are
+   created here, pre-pool). The task runs on a worker and returns a
+   publisher closure; publishers run back on the main domain, in
+   submission order, store the result and return the cell's simulated
+   guest instructions (the BENCH.json throughput numerator). *)
+let compute_cell cell : unit -> unit -> int =
+  match cell with
+  | C_run { rkey; bench; cfg; cfaults; every } ->
+    let memo = memo_for bench in
+    fun () ->
+      let r =
+        Vm.run ~fuel ~faults:cfaults ~memo ?checkpoint_every:every cfg
+          (Suite.load bench)
+      in
+      fun () ->
+        Hashtbl.replace run_cache (bench.Suite.name, rkey) r;
+        r.Vm.guest_insns
+  | C_piii b ->
+    fun () ->
+      let r = Vat_refmodel.Piii.run (Suite.load b) in
+      fun () ->
+        Hashtbl.replace piii_cache b.Suite.name r;
+        r.instructions
+  | C_fabric { pair; pname } ->
+    fun () ->
+      let na, nb = pair in
+      let load n = Suite.load (Suite.find n) in
+      let r =
+        Fabric.run ~policy:(List.assoc pname fabric_policies) (load na, na)
+          (load nb, nb)
+      in
+      fun () ->
+        Hashtbl.replace fabric_cache (fabric_key pair pname) r;
+        r.Fabric.a.guest_insns + r.Fabric.b.guest_insns
+
+let ensure cell = if not (cell_cached cell) then ignore (compute_cell cell () ())
+
+(* A run cell's result, unchecked: it may have faulted. *)
+let vm_result run =
+  ensure (C_run run);
+  Hashtbl.find run_cache (run.bench.Suite.name, run.rkey)
 
 let check_outcome key (b : Suite.benchmark) (r : Vm.result) =
   match r.outcome with
@@ -59,14 +128,23 @@ let check_outcome key (b : Suite.benchmark) (r : Vm.result) =
   | Exec.Fault m -> failwith (Printf.sprintf "%s/%s faulted: %s" b.name key m)
   | Exec.Out_of_fuel -> failwith (b.name ^ "/" ^ key ^ ": out of fuel")
 
-let run_vm ?(faults = Fault.empty) key (b : Suite.benchmark) cfg =
-  match Hashtbl.find_opt run_cache (b.name, key) with
-  | Some r -> r
-  | None ->
-    let r = Vm.run ~fuel ~faults ~memo:(memo_for b) cfg (Suite.load b) in
-    check_outcome key b r;
-    Hashtbl.replace run_cache (b.name, key) r;
-    r
+let run_vm ?faults key b cfg =
+  let r = vm_result (run_spec ?faults key b cfg) in
+  check_outcome key b r;
+  r
+
+(* PIII reference cycles of a benchmark. *)
+let piii_cycles (b : Suite.benchmark) =
+  ensure (C_piii b);
+  let r = Hashtbl.find piii_cache b.name in
+  (match r.outcome with
+   | Vat_guest.Interp.Exited _ -> ()
+   | _ -> failwith (b.name ^ ": reference run did not exit"));
+  r.cycles
+
+let fabric_run pair pname =
+  ensure (C_fabric { pair; pname });
+  Hashtbl.find fabric_cache (fabric_key pair pname)
 
 let slowdown b r = Vm.slowdown r ~piii_cycles:(piii_cycles b)
 
@@ -302,27 +380,6 @@ let ablations () =
 
 let fabric_pairs = [ ("gcc", "gzip"); ("vpr", "parser") ]
 
-let fabric_policies =
-  [ ("static", Fabric.Static (3, 3)); ("shared", Fabric.Shared { dwell = 20000 }) ]
-
-let fabric_cache : (string, Fabric.result) Hashtbl.t = Hashtbl.create 8
-
-let fabric_key (na, nb) pname = na ^ "+" ^ nb ^ "/" ^ pname
-
-let fabric_run pair pname =
-  let key = fabric_key pair pname in
-  match Hashtbl.find_opt fabric_cache key with
-  | Some r -> r
-  | None ->
-    let na, nb = pair in
-    let load n = Suite.load (Suite.find n) in
-    let r =
-      Fabric.run ~policy:(List.assoc pname fabric_policies) (load na, na)
-        (load nb, nb)
-    in
-    Hashtbl.replace fabric_cache key r;
-    r
-
 let fabric () =
   Printf.printf
     "\nFabric sharing (paper Section 5): two guests on one fabric, static vs dynamic tile split\n";
@@ -405,25 +462,16 @@ let recovery_plan cfg n =
 
 let recovery_benchmarks () = List.map Suite.find [ "gzip"; "mcf" ]
 
-(* Separate cache from [run_cache]: these runs are allowed to die (that
-   is the point of the bare column), so they bypass [check_outcome]. *)
-let recovery_cache : (string * string, Vm.result) Hashtbl.t = Hashtbl.create 16
+let recovery_cell ?checkpoint_every b n =
+  let cfg = Config.default in
+  run_spec ~faults:(recovery_plan cfg n) ?every:checkpoint_every
+    (Printf.sprintf "recov-%d%s" n
+       (match checkpoint_every with Some _ -> "-ckpt" | None -> ""))
+    b cfg
 
-let recovery_run ?checkpoint_every (b : Suite.benchmark) n =
-  let key =
-    Printf.sprintf "recov-%d%s" n
-      (match checkpoint_every with Some _ -> "-ckpt" | None -> "")
-  in
-  match Hashtbl.find_opt recovery_cache (b.Suite.name, key) with
-  | Some r -> r
-  | None ->
-    let cfg = Config.default in
-    let r =
-      Vm.run ~fuel ~faults:(recovery_plan cfg n) ~memo:(memo_for b)
-        ?checkpoint_every cfg (Suite.load b)
-    in
-    Hashtbl.replace recovery_cache (b.Suite.name, key) r;
-    r
+(* Unchecked: dying is the point of the bare column. *)
+let recovery_run ?checkpoint_every b n =
+  vm_result (recovery_cell ?checkpoint_every b n)
 
 let recovery_outcome_cell (r : Vm.result) =
   match r.Vm.outcome with
@@ -619,43 +667,34 @@ let all_figures =
 (* Experiment planning and the parallel runner                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Every figure is a render function over a set of independent
-   deterministic simulation cells. [cells_for] names each figure's cells;
-   [run_all] fans the not-yet-cached ones out over a Pool, publishes the
-   results into the caches (main domain only — workers share no mutable
-   state beyond the mutex-guarded translation memos), and only then lets
-   the figure print. Output is therefore byte-identical for any --jobs. *)
-
-type cell =
-  | C_run of {
-      rkey : string;
-      bench : Suite.benchmark;
-      cfg : Config.t;
-      cfaults : Fault.plan;
-    }
-  | C_piii of Suite.benchmark
-  | C_fabric of { pair : string * string; pname : string }
-
-let cell_id = function
-  | C_run { rkey; bench; _ } -> bench.Suite.name ^ "/" ^ rkey
-  | C_piii b -> "piii/" ^ b.Suite.name
-  | C_fabric { pair; pname } -> "fabric/" ^ fabric_key pair pname
-
-let cell_cached = function
-  | C_run { rkey; bench; _ } -> Hashtbl.mem run_cache (bench.Suite.name, rkey)
-  | C_piii b -> Hashtbl.mem piii_cache b.Suite.name
-  | C_fabric { pair; pname } -> Hashtbl.mem fabric_cache (fabric_key pair pname)
+(* [cells_for] names each figure's cells; [run_all] fans the not-yet-cached
+   ones out over a Pool, publishes the results into the caches (main
+   domain only — workers share no mutable state beyond the mutex-guarded
+   translation memos), and only then lets the figure print. Output is
+   therefore byte-identical for any --jobs. *)
 
 let grid prefix configs =
   List.concat_map
     (fun b ->
-      List.map
-        (fun (k, cfg) ->
-          C_run { rkey = prefix ^ k; bench = b; cfg; cfaults = Fault.empty })
-        configs)
+      List.map (fun (k, cfg) -> C_run (run_spec (prefix ^ k) b cfg)) configs)
     benchmarks
 
 let piii_cells bs = List.map (fun b -> C_piii b) bs
+
+(* One fault-plan sweep over [fault_benchmarks]: the cells [run_vm]
+   computes for [prefix-n] with [plan Config.default n]. *)
+let plan_cells prefix plan counts =
+  let cfg = Config.default in
+  List.concat_map
+    (fun b ->
+      List.map
+        (fun n ->
+          C_run
+            (run_spec ~faults:(plan cfg n) (Printf.sprintf "%s-%d" prefix n) b
+               cfg))
+        counts)
+    (fault_benchmarks ())
+  @ piii_cells (fault_benchmarks ())
 
 let cells_for = function
   | "fig4" -> grid "fig4-" fig4_configs @ piii_cells benchmarks
@@ -676,76 +715,21 @@ let cells_for = function
       (fun pair ->
         List.map (fun (pname, _) -> C_fabric { pair; pname }) fabric_policies)
       fabric_pairs
-  | "faults" ->
-    let cfg = Config.default in
+  | "faults" -> plan_cells "faults" fault_plan fault_counts
+  | "corruption" -> plan_cells "corrupt" corruption_plan corruption_counts
+  | "recovery" ->
     List.concat_map
       (fun b ->
-        List.map
+        List.concat_map
           (fun n ->
-            C_run
-              { rkey = Printf.sprintf "faults-%d" n;
-                bench = b;
-                cfg;
-                cfaults = fault_plan cfg n })
-          fault_counts)
-      (fault_benchmarks ())
-    @ piii_cells (fault_benchmarks ())
-  | "corruption" ->
-    let cfg = Config.default in
-    List.concat_map
-      (fun b ->
-        List.map
-          (fun n ->
-            C_run
-              { rkey = Printf.sprintf "corrupt-%d" n;
-                bench = b;
-                cfg;
-                cfaults = corruption_plan cfg n })
-          corruption_counts)
-      (fault_benchmarks ())
-    @ piii_cells (fault_benchmarks ())
+            [ C_run (recovery_cell b n);
+              C_run (recovery_cell ~checkpoint_every:recovery_every b n) ])
+          recovery_counts)
+      (recovery_benchmarks ())
   (* fig11 reuses whatever is cached; trace runs its two traced gcc
-     simulations inline (a live recorder can't cross Pool domains);
-     recovery runs inline too (its bare cells are allowed to die, which
-     the shared cell runner treats as an error). *)
-  | "fig11" | "trace" | "recovery" -> []
+     simulations inline (a live recorder can't cross Pool domains). *)
+  | "fig11" | "trace" -> []
   | name -> invalid_arg ("Figures.cells_for: unknown figure " ^ name)
-
-(* Build the worker task for a cell, on the main domain (memo handles are
-   created here, pre-pool). The task runs on a worker and returns a
-   publisher closure; publishers run back on the main domain, in
-   submission order, and return the cell's simulated guest instructions
-   (the BENCH.json throughput numerator). *)
-let compute_cell cell : unit -> unit -> int =
-  match cell with
-  | C_run { rkey; bench; cfg; cfaults } ->
-    let memo = memo_for bench in
-    fun () ->
-      let r = Vm.run ~fuel ~faults:cfaults ~memo cfg (Suite.load bench) in
-      fun () ->
-        check_outcome rkey bench r;
-        Hashtbl.replace run_cache (bench.Suite.name, rkey) r;
-        r.Vm.guest_insns
-  | C_piii b ->
-    fun () ->
-      let r = Vat_refmodel.Piii.run (Suite.load b) in
-      fun () ->
-        (match r.outcome with
-         | Vat_guest.Interp.Exited _ -> ()
-         | _ -> failwith (b.Suite.name ^ ": reference run did not exit"));
-        Hashtbl.replace piii_cache b.Suite.name r.cycles;
-        r.instructions
-  | C_fabric { pair; pname } ->
-    fun () ->
-      let na, nb = pair in
-      let load n = Suite.load (Suite.find n) in
-      let r =
-        Fabric.run ~policy:(List.assoc pname fabric_policies) (load na, na)
-          (load nb, nb)
-      in
-      fun () ->
-        Hashtbl.replace fabric_cache (fabric_key pair pname) r;
-        r.Fabric.a.guest_insns + r.Fabric.b.guest_insns
 
 let dedup_cells cells =
   let seen = Hashtbl.create 64 in
